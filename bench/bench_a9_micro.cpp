@@ -5,9 +5,8 @@
 //
 // Besides the google-benchmark suite, main() first runs one fixed reference
 // workload (hjswy, N=1024, StableSpine gnp, T=2) through the engine timing
-// layer, prints the per-phase breakdown, and writes it as machine-readable
-// BENCH_engine.json next to the cwd — with the recorded pre-zero-copy
-// baseline so the speedup is tracked run over run (docs/PERF.md).
+// layer, prints the per-phase breakdown and the within-run A/Bs, and writes
+// them as machine-readable BENCH_engine.json in the cwd (docs/PERF.md).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,6 +25,7 @@
 #include "algo/flood_max.hpp"
 #include "algo/hjswy.hpp"
 #include "algo/idset.hpp"
+#include "algo/sketch_pool.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "net/engine.hpp"
@@ -73,9 +73,12 @@ void BM_HjswyFullRun(benchmark::State& state) {
     options.T = 2;
     options.exact_census = true;
     util::Rng base(seed);
+    algo::SketchPool pool(static_cast<std::size_t>(n),
+                          algo::HjswyProgram::RequiredPoolColumns(options));
     std::vector<algo::HjswyProgram> nodes;
     for (graph::NodeId u = 0; u < n; ++u) {
-      nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)));
+      nodes.emplace_back(u, u, options,
+                         base.Fork(static_cast<std::uint64_t>(u)), &pool);
     }
     net::EngineOptions opts;
     opts.validate_tinterval = true;  // certification is the shipped config
@@ -102,13 +105,19 @@ void BM_IdSetUnion(benchmark::State& state) {
 }
 BENCHMARK(BM_IdSetUnion)->Arg(1024)->Arg(16384);
 
+/// The hjswy merge path: one float32-bit block min-merged into a pooled
+/// sketch (after the first iteration nothing decreases — the converged
+/// steady state of the suffix rounds).
 void BM_EstimatorMerge(benchmark::State& state) {
   const auto L = static_cast<int>(state.range(0));
   util::Rng rng(9);
-  algo::CardinalityEstimator a(L, rng);
-  const algo::CardinalityEstimator b(L, rng);
+  algo::SketchPool pool(/*nodes=*/2, L);
+  algo::CardinalityEstimator a(L, rng, &pool, 0, 0);
+  const algo::CardinalityEstimator b(L, rng, &pool, 1, 0);
+  std::vector<std::uint32_t> bits(static_cast<std::size_t>(L));
+  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = b.CoordBits(i);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(a.Merge(b.mins()));
+    benchmark::DoNotOptimize(a.MergeBlockBits(0, bits.data(), bits.size()));
   }
   state.SetItemsProcessed(state.iterations() * L);
 }
@@ -151,42 +160,6 @@ void BM_TIntervalValidation(benchmark::State& state) {
 }
 BENCHMARK(BM_TIntervalValidation)->Arg(256)->Arg(2048);
 
-/// rounds/sec of the identical workload measured on the pre-zero-copy engine
-/// (shared_ptr-free but copying delivery, sort-on-construct topologies).
-/// Re-measure with docs/PERF.md's recipe when the reference hardware changes.
-constexpr double kBaselineRoundsPerSec = 512.3;
-
-/// rounds/sec of the same workload on the zero-copy engine before the
-/// parallel round phases landed (single-threaded by construction). The
-/// threads sweep below reports its speedup against this figure.
-constexpr double kPr1SingleThreadRoundsPerSec = 949.4;
-
-/// Combined send+deliver time of the identical serial workload recorded by
-/// PR 3's bench run (BENCH_engine.json history): the message-path overhaul's
-/// acceptance bar is >= 1.8x against this sum.
-constexpr std::int64_t kPr3SendNs = 13'516'751;
-constexpr std::int64_t kPr3DeliverNs = 49'017'393;
-
-/// Combined send+deliver time of the identical serial workload recorded by
-/// PR 4's bench runs, after the timing partition narrowed send/deliver to
-/// the ForShards barrier windows (merges now land in `other`). Recorded at
-/// the noisy end of the observed spread (best-of-3 ranged 22.7-29.9 ms on
-/// the loaded reference box) so the CI gate — untraced within 3% of this
-/// figure, traced within 2x of untraced — trips on regressions, not jitter.
-constexpr std::int64_t kPr4SendPlusDeliverNs = 28'000'000;
-
-/// Combined send+deliver of the identical serial workload recorded by PR 5's
-/// bench run (6.25 ms send + 21.86 ms deliver; BENCH_engine.json history).
-/// PR 6 (SIMD deliver kernels, direct-send outbox, outbox prefetch,
-/// measured adaptive backing) gates >= 1.3x against this sum.
-constexpr std::int64_t kPr5SendPlusDeliverNs = 28'112'415;
-
-/// Headline rounds/sec of the identical serial workload recorded by PR 7's
-/// bench run (best of 3; BENCH_engine.json history). PR 8 (SoA sketch pool,
-/// arena outbox, per-shard delivery arms) gates >= 1.0x against it: the
-/// scale work must not regress the reference workload.
-constexpr double kPr7RoundsPerSec = 2862.3;
-
 /// The fixed reference workload: one full hjswy run, N=1024, spine-gnp, T=2,
 /// probes off; T-interval validation ON by default (the recorded figures
 /// are certified runs — the certification A/B below measures what that
@@ -204,7 +177,7 @@ net::RunStats TimedReferenceRun(
     int threads, bool incremental = true,
     net::DeliveryMode delivery = net::DeliveryMode::kAdaptive,
     obs::FlightRecorder* recorder = nullptr, bool validate = true,
-    bool pooled = true, bool overlaps = true, bool collect_metrics = false,
+    bool overlaps = true, bool collect_metrics = false,
     bool anomaly = false,
     const obs::AnomalyOptions* anomaly_options = nullptr) {
   const graph::NodeId n = 1024;
@@ -217,14 +190,14 @@ net::RunStats TimedReferenceRun(
   algo::HjswyOptions options;
   options.T = 2;
   // The pool outlives the engine (declared first): programs hold raw
-  // pointers into it. `pooled` false is the per-node A/B arm.
+  // pointers into it.
   algo::SketchPool pool(static_cast<std::size_t>(n),
                         algo::HjswyProgram::RequiredPoolColumns(options));
   util::Rng base(42);
   std::vector<algo::HjswyProgram> nodes;
   for (graph::NodeId u = 0; u < n; ++u) {
     nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)),
-                       pooled ? &pool : nullptr);
+                       &pool);
   }
   net::EngineOptions opts;
   opts.validate_tinterval = validate;
@@ -322,17 +295,14 @@ ABResult PairedAB(const std::function<net::RunStats()>& run_a,
 }
 
 void ReportEngineTimings() {
-  // Single-thread reference: the workload + fields PR 1 recorded, so the
-  // serial-engine trend line stays comparable run over run.
+  // Single-thread reference: the serial engine's per-phase breakdown.
   const RepSet reference = MeasuredRuns(/*threads=*/1);
   const net::RunStats& best = reference.best;
   const double best_rps = best.timings.RoundsPerSec(best.rounds);
   const double eps = best.timings.EdgesPerSec(best.edges_processed);
   std::printf("engine reference workload (hjswy n=1024 spine-gnp T=2, best of 3):\n  %s\n",
               best.timings.OneLine(best.rounds, best.edges_processed).c_str());
-  std::printf("  baseline=%.1f rounds/s  speedup=%.2fx  median=%.1f rounds/s\n",
-              kBaselineRoundsPerSec, best_rps / kBaselineRoundsPerSec,
-              reference.median_rps);
+  std::printf("  median=%.1f rounds/s\n", reference.median_rps);
 
   const StatFn topology_ns = [](const net::RunStats& s) {
     return s.timings.topology_ns;
@@ -358,9 +328,7 @@ void ReportEngineTimings() {
   // Message-path A/B: the identical serial workload forced onto the legacy
   // per-receiver pointer gather vs the measured adaptive backing the engine
   // ships with (RunStats agree bit for bit; send+deliver is the whole
-  // difference). Interleaved pairs, compared by medians. The vs-PR3 figure
-  // tracks the combined send+deliver trend against PR 3's recorded message
-  // path (gather delivery, per-coordinate merges, per-call Locate scans).
+  // difference). Interleaved pairs, compared by medians.
   const ABResult msg = PairedAB(
       [] {
         return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
@@ -372,15 +340,11 @@ void ReportEngineTimings() {
       },
       message_path_ns);
   const double message_path_speedup = msg.speedup;
-  const double message_path_speedup_vs_pr3 =
-      static_cast<double>(kPr3SendNs + kPr3DeliverNs) /
-      static_cast<double>(message_path_ns(msg.b));
   std::printf(
       "message path A/B (serial, paired medians): gather send+deliver=%lld ns"
-      "  adaptive send+deliver=%lld ns  speedup=%.2fx  vs PR3 recorded=%.2fx\n",
+      "  adaptive send+deliver=%lld ns  speedup=%.2fx\n",
       static_cast<long long>(message_path_ns(msg.a)),
-      static_cast<long long>(message_path_ns(msg.b)), message_path_speedup,
-      message_path_speedup_vs_pr3);
+      static_cast<long long>(message_path_ns(msg.b)), message_path_speedup);
 
   // Tracing overhead A/B: the identical serial workload with and without a
   // flight recorder attached, both sides best-of-3 *by send+deliver* (the
@@ -408,19 +372,11 @@ void ReportEngineTimings() {
   const std::int64_t traced_sd_ns = message_path_ns(traced);
   const double trace_overhead_ratio =
       static_cast<double>(traced_sd_ns) / static_cast<double>(untraced_sd_ns);
-  const double message_path_speedup_vs_pr4 =
-      static_cast<double>(kPr4SendPlusDeliverNs) /
-      static_cast<double>(untraced_sd_ns);
-  const double message_path_speedup_vs_pr5 =
-      static_cast<double>(kPr5SendPlusDeliverNs) /
-      static_cast<double>(untraced_sd_ns);
   std::printf(
       "tracing A/B (serial): untraced send+deliver=%lld ns  "
-      "traced=%lld ns  overhead=%.2fx  vs PR4 recorded=%.2fx  "
-      "vs PR5 recorded=%.2fx\n",
+      "traced=%lld ns  overhead=%.2fx\n",
       static_cast<long long>(untraced_sd_ns),
-      static_cast<long long>(traced_sd_ns), trace_overhead_ratio,
-      message_path_speedup_vs_pr4, message_path_speedup_vs_pr5);
+      static_cast<long long>(traced_sd_ns), trace_overhead_ratio);
 
   // Certification A/B: the identical serial workload with the streaming
   // T-interval checker off vs on (everything else fixed: incremental,
@@ -470,35 +426,6 @@ void ReportEngineTimings() {
       static_cast<long long>(unvalidated_total_ns),
       static_cast<long long>(validated_total_ns), checker_ab_ratio,
       checker_overhead_ratio, static_cast<long long>(cert.b.certified_T));
-
-  // Sketch-pool A/B: the identical serial workload on the per-node sketch
-  // layout (each estimator owns a std::vector<double>) vs the shared SoA
-  // float32 pool the engine ships with (RunStats agree bit for bit — the
-  // pin suite enforces it). Interleaved pairs, compared by medians of
-  // total_ns: the layout touches send, deliver and program-state locality,
-  // so the whole step is the honest statistic. The vs-PR7 figure is the
-  // regression gate for the scale work: this process's headline rounds/sec
-  // (pooled, best of 3) against PR 7's recorded 2862.3.
-  const ABResult pool_ab = PairedAB(
-      [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/false);
-      },
-      [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/true);
-      },
-      run_total_ns);
-  const double sketch_pool_speedup = pool_ab.speedup;
-  const double speedup_vs_pr7 = best_rps / kPr7RoundsPerSec;
-  std::printf(
-      "sketch pool A/B (serial, paired medians): per-node total=%lld ns  "
-      "pooled total=%lld ns  speedup=%.2fx  headline vs PR7 recorded=%.2fx\n",
-      static_cast<long long>(run_total_ns(pool_ab.a)),
-      static_cast<long long>(run_total_ns(pool_ab.b)), sketch_pool_speedup,
-      speedup_vs_pr7);
 
   obs::RunManifest manifest = obs::RunManifest::Collect();
   manifest.Set("experiment", "a9_micro");
@@ -583,14 +510,12 @@ void ReportEngineTimings() {
       [] {
         return TimedReferenceRun(/*threads=*/2, /*incremental=*/true,
                                  net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/true,
-                                 /*overlaps=*/false);
+                                 /*validate=*/true, /*overlaps=*/false);
       },
       [] {
         return TimedReferenceRun(/*threads=*/2, /*incremental=*/true,
                                  net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/true,
-                                 /*overlaps=*/true);
+                                 /*validate=*/true, /*overlaps=*/true);
       },
       run_total_ns);
   const std::int64_t pipeline_off_total_ns = run_total_ns(pipe.a);
@@ -620,15 +545,15 @@ void ReportEngineTimings() {
       [] {
         return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
                                  net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/true,
-                                 /*overlaps=*/true, /*collect_metrics=*/true,
+                                 /*validate=*/true, /*overlaps=*/true,
+                                 /*collect_metrics=*/true,
                                  /*anomaly=*/false);
       },
       [] {
         return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
                                  net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/true,
-                                 /*overlaps=*/true, /*collect_metrics=*/true,
+                                 /*validate=*/true, /*overlaps=*/true,
+                                 /*collect_metrics=*/true,
                                  /*anomaly=*/true);
       },
       run_total_ns);
@@ -665,12 +590,8 @@ void ReportEngineTimings() {
                "optimistic trend-line headline, not a gating statistic\",\n"
                "  \"median_rounds_per_sec\": %.1f,\n"
                "  \"median_rounds_per_sec_selection\": \"median of the same "
-               "3 reps — the noise-robust figure CI floors gate on\",\n"
+               "3 reps — the noise-robust figure\",\n"
                "  \"edges_per_sec\": %.0f,\n"
-               "  \"baseline_rounds_per_sec\": %.1f,\n"
-               "  \"speedup_vs_baseline\": %.2f,\n"
-               "  \"median_speedup_vs_baseline\": %.2f,\n"
-               "  \"pr1_single_thread_rounds_per_sec\": %.1f,\n"
                "  \"hardware_concurrency\": %d,\n"
                "  \"timings_ns\": {\"topology\": %lld, \"validate\": %lld, "
                "\"probe\": %lld, \"send\": %lld, \"deliver\": %lld, "
@@ -683,12 +604,6 @@ void ReportEngineTimings() {
                "  \"deliver_gather_ns\": %lld,\n"
                "  \"deliver_adaptive_ns\": %lld,\n"
                "  \"message_path_speedup\": %.2f,\n"
-               "  \"pr3_send_plus_deliver_ns\": %lld,\n"
-               "  \"message_path_speedup_vs_pr3\": %.2f,\n"
-               "  \"pr4_send_plus_deliver_ns\": %lld,\n"
-               "  \"message_path_speedup_vs_pr4\": %.2f,\n"
-               "  \"pr5_send_plus_deliver_ns\": %lld,\n"
-               "  \"message_path_speedup_vs_pr5\": %.2f,\n"
                "  \"untraced_send_plus_deliver_ns\": %lld,\n"
                "  \"traced_send_plus_deliver_ns\": %lld,\n"
                "  \"trace_overhead_ratio\": %.3f,\n"
@@ -698,11 +613,6 @@ void ReportEngineTimings() {
                "  \"validated_total_ns\": %lld,\n"
                "  \"checker_ab_ratio\": %.3f,\n"
                "  \"checker_overhead_ratio\": %.3f,\n"
-               "  \"per_node_sketch_total_ns\": %lld,\n"
-               "  \"pooled_sketch_total_ns\": %lld,\n"
-               "  \"sketch_pool_speedup\": %.3f,\n"
-               "  \"pr7_rounds_per_sec\": %.1f,\n"
-               "  \"speedup_vs_pr7\": %.3f,\n"
                "  \"pipeline_threads\": %d,\n"
                "  \"pipeline_oversubscribed\": %s,\n"
                "  \"pipeline_all_off_total_ns\": %lld,\n"
@@ -717,10 +627,7 @@ void ReportEngineTimings() {
                static_cast<long long>(best.rounds),
                static_cast<long long>(best.edges_processed),
                static_cast<long long>(best.messages_delivered), best_rps,
-               reference.median_rps, eps,
-               kBaselineRoundsPerSec, best_rps / kBaselineRoundsPerSec,
-               reference.median_rps / kBaselineRoundsPerSec,
-               kPr1SingleThreadRoundsPerSec, hw,
+               reference.median_rps, eps, hw,
                static_cast<long long>(best.timings.topology_ns),
                static_cast<long long>(best.timings.validate_ns),
                static_cast<long long>(best.timings.probe_ns),
@@ -736,23 +643,14 @@ void ReportEngineTimings() {
                static_cast<long long>(msg.a.timings.deliver_ns),
                static_cast<long long>(msg.b.timings.deliver_ns),
                message_path_speedup,
-               static_cast<long long>(kPr3SendNs + kPr3DeliverNs),
-               message_path_speedup_vs_pr3,
-               static_cast<long long>(kPr4SendPlusDeliverNs),
-               message_path_speedup_vs_pr4,
-               static_cast<long long>(kPr5SendPlusDeliverNs),
-               message_path_speedup_vs_pr5,
                static_cast<long long>(untraced_sd_ns),
                static_cast<long long>(traced_sd_ns), trace_overhead_ratio,
                static_cast<long long>(cert.b.certified_T),
                static_cast<long long>(cert.b.min_stable_forest),
                static_cast<long long>(unvalidated_total_ns),
                static_cast<long long>(validated_total_ns),
-               checker_ab_ratio, checker_overhead_ratio,
-               static_cast<long long>(run_total_ns(pool_ab.a)),
-               static_cast<long long>(run_total_ns(pool_ab.b)),
-               sketch_pool_speedup, kPr7RoundsPerSec, speedup_vs_pr7,
-               pipeline_threads, pipeline_oversubscribed ? "true" : "false",
+               checker_ab_ratio, checker_overhead_ratio, pipeline_threads,
+               pipeline_oversubscribed ? "true" : "false",
                static_cast<long long>(pipeline_off_total_ns),
                static_cast<long long>(pipeline_on_total_ns), pipeline_speedup,
                static_cast<long long>(pipeline_aux_topology_ns),
@@ -811,9 +709,6 @@ int FaultSmoke(const std::string& dump_dir) {
   // above any honest round of this workload (sub-millisecond) and far
   // below the fault.
   aopts.spike_floor_ns = 20'000'000;
-  // Neutralize the byte-level rule: the warmup growth of the outbox and
-  // topology gauges is expected here and would break exactly-one.
-  aopts.memory_jump_floor_bytes = std::int64_t{1} << 60;
   aopts.dump_dir = dump_dir;
 
   // Ring large enough that this run never wraps: a wrap would legitimately
@@ -821,7 +716,7 @@ int FaultSmoke(const std::string& dump_dir) {
   obs::FlightRecorder recorder(/*lanes=*/1, /*lane_capacity=*/1 << 20);
   const net::RunStats stats = TimedReferenceRun(
       /*threads=*/1, /*incremental=*/true, net::DeliveryMode::kAdaptive,
-      &recorder, /*validate=*/true, /*pooled=*/true, /*overlaps=*/true,
+      &recorder, /*validate=*/true, /*overlaps=*/true,
       /*collect_metrics=*/true, /*anomaly=*/true, &aopts);
 
   std::printf("fault smoke: %zu anomaly record(s)\n", stats.anomalies.size());

@@ -10,6 +10,7 @@
 
 #include "adversary/static_adversary.hpp"
 #include "algo/hjswy.hpp"
+#include "algo/sketch_pool.hpp"
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "net/engine.hpp"
@@ -39,10 +40,12 @@ Point MeasureCliques(graph::NodeId cliques, graph::NodeId clique_size, int T,
     options.T = T;
     options.exact_census = true;
     util::Rng base(static_cast<std::uint64_t>(trial) * 977);
+    algo::SketchPool pool(static_cast<std::size_t>(n),
+                          algo::HjswyProgram::RequiredPoolColumns(options));
     std::vector<algo::HjswyProgram> nodes;
     for (graph::NodeId u = 0; u < n; ++u) {
       nodes.emplace_back(u, static_cast<algo::Value>(u), options,
-                         base.Fork(static_cast<std::uint64_t>(u)));
+                         base.Fork(static_cast<std::uint64_t>(u)), &pool);
     }
     net::EngineOptions opts;
     opts.validate_tinterval = true;  // certification is the shipped config
@@ -121,10 +124,12 @@ int Main(int argc, char** argv) {
     options.T = T;
     options.exact_census = true;
     util::Rng base(977);
+    algo::SketchPool pool(static_cast<std::size_t>(cliques * size),
+                          algo::HjswyProgram::RequiredPoolColumns(options));
     std::vector<algo::HjswyProgram> nodes;
     for (graph::NodeId u = 0; u < cliques * size; ++u) {
       nodes.emplace_back(u, static_cast<algo::Value>(u), options,
-                         base.Fork(static_cast<std::uint64_t>(u)));
+                         base.Fork(static_cast<std::uint64_t>(u)), &pool);
     }
     net::EngineOptions opts;
     opts.validate_tinterval = true;

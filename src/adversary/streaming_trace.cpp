@@ -37,6 +37,7 @@ void StreamingTraceAdversary::DeltaFor(std::int64_t round,
                     << round << " after " << served_);
   served_ = round;
   if (exhausted_ || !reader_.Next(record_)) {
+    SDN_CHECK_MSG(round > 1, "streaming replay of an empty trace");
     exhausted_ = true;
     out.clear();  // past the recording: the final topology repeats
     return;

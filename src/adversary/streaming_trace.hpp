@@ -42,7 +42,8 @@ class StreamingTraceAdversary final : public net::Adversary {
 
   /// Serves round `round` from the file: keyframe records are diffed
   /// against `prev` (one linear merge), delta records pass through, EOF
-  /// repeats the final topology as empty deltas. Rounds must be requested
+  /// repeats the final topology as empty deltas (CheckError if the trace
+  /// has no rounds at all, as LoadTrace). Rounds must be requested
   /// strictly sequentially from 1 (the interface contract).
   void DeltaFor(std::int64_t round, const net::AdversaryView& view,
                 const graph::Graph& prev, graph::TopologyDelta& out) override;

@@ -35,26 +35,6 @@ bool VerifyEstimatorChecks() {
   return g_verify_estimator.load(std::memory_order_relaxed);
 }
 
-void CardinalityEstimator::SetCoord(std::size_t i, double v) {
-  if (pool_ != nullptr) {
-    pool_->Store(node_, Col(i), static_cast<float>(v));
-  } else {
-    mins_[i] = v;
-  }
-}
-
-CardinalityEstimator::CardinalityEstimator(int L, util::Rng& rng,
-                                           bool quantize_float32) {
-  SDN_CHECK_MSG(L >= 3, "estimator needs L >= 3 (variance is undefined below)");
-  len_ = L;
-  mins_.resize(static_cast<std::size_t>(L));
-  for (auto& m : mins_) {
-    m = rng.Exponential(1.0);
-    if (quantize_float32) m = static_cast<double>(static_cast<float>(m));
-  }
-  RecomputeFingerprint();
-}
-
 CardinalityEstimator::CardinalityEstimator(int L, util::Rng& rng,
                                            SketchPool* pool, std::size_t node,
                                            int col_base)
@@ -62,8 +42,6 @@ CardinalityEstimator::CardinalityEstimator(int L, util::Rng& rng,
   SDN_CHECK_MSG(L >= 3, "estimator needs L >= 3 (variance is undefined below)");
   SDN_CHECK(pool != nullptr && node < pool->nodes());
   SDN_CHECK(col_base >= 0 && col_base + L <= pool->columns());
-  // Same draw order as the owned constructor; float32 storage is the
-  // quantization.
   for (int i = 0; i < L; ++i) {
     pool_->Store(node_, Col(static_cast<std::size_t>(i)),
                  static_cast<float>(rng.Exponential(1.0)));
@@ -73,38 +51,16 @@ CardinalityEstimator::CardinalityEstimator(int L, util::Rng& rng,
 
 CardinalityEstimator CardinalityEstimator::ForWeight(std::uint64_t weight,
                                                      int L, util::Rng& rng,
-                                                     bool quantize_float32) {
-  CardinalityEstimator sketch(L, rng, quantize_float32);
-  if (weight == 0) {
-    for (auto& m : sketch.mins_) m = std::numeric_limits<double>::infinity();
-    sketch.RecomputeFingerprint();
-    return sketch;
-  }
-  for (auto& m : sketch.mins_) {
-    m = rng.Exponential(static_cast<double>(weight));
-    if (quantize_float32) m = static_cast<double>(static_cast<float>(m));
-  }
-  sketch.RecomputeFingerprint();
-  return sketch;
-}
-
-CardinalityEstimator CardinalityEstimator::ForWeight(std::uint64_t weight,
-                                                     int L, util::Rng& rng,
                                                      SketchPool* pool,
                                                      std::size_t node,
                                                      int col_base) {
   CardinalityEstimator sketch(L, rng, pool, node, col_base);
-  if (weight == 0) {
-    for (int i = 0; i < L; ++i) {
-      sketch.SetCoord(static_cast<std::size_t>(i),
-                      std::numeric_limits<double>::infinity());
-    }
-    sketch.RecomputeFingerprint();
-    return sketch;
-  }
   for (int i = 0; i < L; ++i) {
-    sketch.SetCoord(static_cast<std::size_t>(i),
-                    rng.Exponential(static_cast<double>(weight)));
+    const double v = weight == 0
+                         ? std::numeric_limits<double>::infinity()
+                         : rng.Exponential(static_cast<double>(weight));
+    pool->Store(node, sketch.Col(static_cast<std::size_t>(i)),
+                static_cast<float>(v));
   }
   sketch.RecomputeFingerprint();
   return sketch;

@@ -11,36 +11,25 @@
 // learn the network size without moving Ω(N) identifiers — the step that
 // removes the Ω(N) term from the round complexity.
 //
-// Merge/MergeCoord/MergeBlock are the engine's message-path hot loop (one
+// MergeCoord/MergeBlockBits are the engine's message-path hot loop (one
 // call per delivered coordinate block); they are defined inline here so the
-// templated engine can vectorize them, and their per-call bounds checks are
+// templated engine can vectorize them, and MergeCoord's per-call checks are
 // gated on SetVerifyEstimatorChecks (same pattern as SDN_VERIFY_SORTED:
 // on in debug builds, off under NDEBUG, overridable via the
 // SDN_VERIFY_ESTIMATOR environment variable; tests flip it on).
 //
-// Storage comes in two layouts with pinned-identical semantics:
-//
-//   * Owned (default): a per-estimator std::vector<double>, each coordinate
-//     holding double(float(draw)) when quantized.
-//   * Pooled: coordinates live in a shared SketchPool as float32, at row
-//     `node` in columns [col_base, col_base + L). Pooled mode requires
-//     float32 quantization (it IS the storage format), so double(stored
-//     float) equals the owned representation exactly — estimates,
-//     fingerprints and merge outcomes are bit-identical by construction,
-//     and the pin suite (test_sketch_pool) enforces it. Pooled estimators
-//     are shallow views: copying one aliases the same pool slots, and the
-//     pool must outlive every estimator attached to it.
+// Storage: the L coordinates live float32 in a shared SketchPool, at row
+// `node` in columns [col_base, col_base + L). Every draw is quantized to
+// float by that store, so coordinates survive the bounded-bandwidth
+// algorithms' 32-bit wire encoding exactly and min-merging is bit-stable
+// across hops. Estimators are shallow views: copying one aliases the same
+// pool slots, and the pool must outlive every estimator attached to it.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
-#include "algo/kernels.hpp"
 #include "algo/sketch_pool.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -56,15 +45,10 @@ void SetVerifyEstimatorChecks(bool on);
 
 class CardinalityEstimator {
  public:
-  /// L >= 3 sketch coordinates drawn from `rng`. With `quantize_float32`
-  /// every draw is rounded to float precision, so coordinates survive a
-  /// 32-bit wire encoding exactly (required by the bounded-bandwidth
-  /// algorithms: min-merging must be bit-stable across hops).
-  CardinalityEstimator(int L, util::Rng& rng, bool quantize_float32 = false);
-
-  /// Pooled layout: identical draw sequence and semantics, but the L
-  /// coordinates are stored float32 in `pool` at row `node`, columns
-  /// [col_base, col_base + L). Implies float32 quantization.
+  /// L >= 3 sketch coordinates drawn from `rng` (L Exp(1) draws, in
+  /// coordinate order), stored in `pool` at row `node`, columns
+  /// [col_base, col_base + L). `pool` must be non-null and outlive the
+  /// estimator and its copies.
   CardinalityEstimator(int L, util::Rng& rng, SketchPool* pool,
                        std::size_t node, int col_base);
 
@@ -73,160 +57,71 @@ class CardinalityEstimator {
   /// coordinates (distributed like the min of w unit exponentials), so the
   /// pointwise network minima are Exp(Σw) and Estimate() returns ≈ Σw.
   /// Weight 0 contributes +infinity coordinates (no effect on minima);
-  /// Estimate() returns 0 if the whole network carried weight 0.
-  static CardinalityEstimator ForWeight(std::uint64_t weight, int L,
-                                        util::Rng& rng,
-                                        bool quantize_float32 = false);
-
-  /// Pooled ForWeight: same draw sequence as the owned overload (L base
-  /// draws then L weighted redraws), stored in the pool.
+  /// Estimate() returns 0 if the whole network carried weight 0. Draws L
+  /// base coordinates, then L weighted redraws.
   static CardinalityEstimator ForWeight(std::uint64_t weight, int L,
                                         util::Rng& rng, SketchPool* pool,
                                         std::size_t node, int col_base);
 
-  /// Pointwise-min merge of another sketch (must have equal length).
-  /// Returns true if any coordinate decreased (i.e. new information).
-  bool Merge(std::span<const double> other) {
-    if (VerifyEstimatorChecks()) {
-      SDN_CHECK(other.size() == static_cast<std::size_t>(len_));
-    }
-    return MergeBlock(0, other);
-  }
-
-  /// Min-merge of a single coordinate; returns true if it decreased.
-  /// In pooled mode `v` must be float32-representable (all wire values
-  /// are); the gated check enforces it.
+  /// Min-merge of a single coordinate; returns true if it decreased. `v`
+  /// must be float32-representable (all wire values are); the gated check
+  /// enforces it.
   bool MergeCoord(std::size_t i, double v) {
-    if (pool_ != nullptr) {
-      if (VerifyEstimatorChecks()) {
-        SDN_CHECK(i < static_cast<std::size_t>(len_));
-        SDN_CHECK(static_cast<double>(static_cast<float>(v)) == v);
-      }
-      const std::size_t col = Col(i);
-      const double cur =
-          static_cast<double>(pool_->Load(node_, col));
-      if (v < cur) {
-        fingerprint_ ^= CoordHash(i, cur) ^ CoordHash(i, v);
-        pool_->Store(node_, col, static_cast<float>(v));
-        return true;
-      }
-      return false;
+    if (VerifyEstimatorChecks()) {
+      SDN_CHECK(i < static_cast<std::size_t>(len_));
+      SDN_CHECK(static_cast<double>(static_cast<float>(v)) == v);
     }
-    if (VerifyEstimatorChecks()) SDN_CHECK(i < mins_.size());
-    if (v < mins_[i]) {
-      fingerprint_ ^= CoordHash(i, mins_[i]) ^ CoordHash(i, v);
-      mins_[i] = v;
+    const std::size_t col = Col(i);
+    const double cur = static_cast<double>(pool_->Load(node_, col));
+    if (v < cur) {
+      fingerprint_ ^= CoordHash(i, cur) ^ CoordHash(i, v);
+      pool_->Store(node_, col, static_cast<float>(v));
       return true;
     }
     return false;
   }
 
-  /// Columnwise min-merge of a contiguous coordinate block starting at
-  /// `base`: mins[base+i] = min(mins[base+i], span[i]). The bounds check is
-  /// hoisted out of the loop (always on — one check per block, not per
-  /// coordinate). In the owned layout the decrease test runs through the
-  /// SIMD-dispatched kernels::LtMaskF64 (scalar/SSE2/AVX2, bit-identical
-  /// across tiers): one vector compare per <=64-lane chunk answers "which
-  /// lanes decreased", and only those lanes pay the fingerprint rehash and
-  /// store — the converged steady state (no decrease, the common
-  /// suffix-round case) is a pure compare with no writes at all. The pooled
-  /// layout merges coordinate-at-a-time (min is selection, so the result is
-  /// bit-identical either way); its fast path is MergeBlockBits. Returns
+  /// Min-merge of a contiguous block starting at coordinate `base`, given
+  /// as float32 bit patterns — the wire format of the bounded-bandwidth
+  /// algorithms. The compare runs in the unsigned-integer domain directly
+  /// against the float32 store: for the nonnegative values sketches hold,
+  /// unsigned bit order equals value order (+inf = 0x7f800000 sorts above
+  /// all finite values), so the decision "did this coordinate decrease" is
+  /// identical to the double compare, and only decreased lanes pay the
+  /// fingerprint rehash and store. The bounds check is hoisted out of the
+  /// loop (always on — one check per block, not per coordinate). Returns
   /// true if any coordinate decreased.
-  bool MergeBlock(std::size_t base, std::span<const double> vals) {
-    SDN_CHECK(base + vals.size() <= static_cast<std::size_t>(len_));
-    if (pool_ != nullptr) {
-      bool changed = false;
-      for (std::size_t i = 0; i < vals.size(); ++i) {
-        changed |= MergeCoord(base + i, vals[i]);
-      }
-      return changed;
-    }
-    double* mins = mins_.data() + base;
-    const double* v = vals.data();
-    bool changed = false;
-    for (std::size_t off = 0; off < vals.size(); off += 64) {
-      const std::size_t len = std::min<std::size_t>(64, vals.size() - off);
-      std::uint64_t mask = kernels::LtMaskF64(v + off, mins + off, len);
-      changed |= mask != 0;
-      while (mask != 0) {
-        const std::size_t i =
-            off + static_cast<std::size_t>(std::countr_zero(mask));
-        mask &= mask - 1;
-        fingerprint_ ^= CoordHash(base + i, mins[i]) ^ CoordHash(base + i, v[i]);
-        mins[i] = v[i];
-      }
-    }
-    return changed;
-  }
-
-  /// Min-merge of a contiguous block given as float32 bit patterns — the
-  /// wire format of the bounded-bandwidth algorithms. Owned layout: decode
-  /// to double and take the kernel path (exactly the conversion callers
-  /// used to do inline, so outcomes are unchanged). Pooled layout: compare
-  /// in the unsigned-integer domain directly against the float32 store —
-  /// for the nonnegative values sketches hold, unsigned bit order equals
-  /// value order (+inf = 0x7f800000 sorts above all finite values), so the
-  /// decision "did this coordinate decrease" is identical to the double
-  /// compare, and only decreased lanes pay the fingerprint rehash.
   bool MergeBlockBits(std::size_t base, const std::uint32_t* vals,
                       std::size_t count) {
     SDN_CHECK(base + count <= static_cast<std::size_t>(len_));
-    if (pool_ != nullptr) {
-      bool changed = false;
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t col = Col(base + i);
-        const std::uint32_t cur = pool_->LoadBits(node_, col);
-        if (vals[i] < cur) {
-          fingerprint_ ^= CoordHash(base + i, BitsToDouble(cur)) ^
-                          CoordHash(base + i, BitsToDouble(vals[i]));
-          pool_->StoreBits(node_, col, vals[i]);
-          changed = true;
-        }
-      }
-      return changed;
-    }
     bool changed = false;
-    while (count > 0) {
-      const std::size_t k = std::min<std::size_t>(64, count);
-      std::array<double, 64> block;
-      for (std::size_t i = 0; i < k; ++i) block[i] = BitsToDouble(vals[i]);
-      changed |= MergeBlock(base, std::span(block.data(), k));
-      base += k;
-      vals += k;
-      count -= k;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t col = Col(base + i);
+      const std::uint32_t cur = pool_->LoadBits(node_, col);
+      if (vals[i] < cur) {
+        fingerprint_ ^= CoordHash(base + i, BitsToDouble(cur)) ^
+                        CoordHash(base + i, BitsToDouble(vals[i]));
+        pool_->StoreBits(node_, col, vals[i]);
+        changed = true;
+      }
     }
     return changed;
   }
 
-  /// Float32 bit pattern of coordinate i — what the wire carries. Owned
-  /// layout narrows the (already float-representable when quantized)
-  /// double; pooled layout reads the stored bits directly.
+  /// Float32 bit pattern of coordinate i — what the wire carries.
   [[nodiscard]] std::uint32_t CoordBits(std::size_t i) const {
-    if (pool_ != nullptr) return pool_->LoadBits(node_, Col(i));
-    return std::bit_cast<std::uint32_t>(static_cast<float>(mins_[i]));
+    return pool_->LoadBits(node_, Col(i));
+  }
+
+  /// Coordinate i as a double.
+  [[nodiscard]] double Coord(std::size_t i) const {
+    return static_cast<double>(pool_->Load(node_, Col(i)));
   }
 
   /// Current cardinality estimate (L-1)/Σ mins.
   [[nodiscard]] double Estimate() const;
 
-  /// Direct coordinate view; owned layout only (pooled coordinates are not
-  /// contiguous doubles — use CoordBits / Coord).
-  [[nodiscard]] std::span<const double> mins() const {
-    SDN_CHECK(pool_ == nullptr);
-    return mins_;
-  }
-
-  /// Coordinate i as a double, identical across layouts.
-  [[nodiscard]] double Coord(std::size_t i) const {
-    if (pool_ != nullptr) {
-      return static_cast<double>(pool_->Load(node_, Col(i)));
-    }
-    return mins_[i];
-  }
-
   [[nodiscard]] int size() const { return len_; }
-  [[nodiscard]] bool pooled() const { return pool_ != nullptr; }
 
   /// Position-mixed 64-bit hash of the sketch, used as the convergence
   /// fingerprint nodes compare during verification. A pure function of the
@@ -269,18 +164,13 @@ class CardinalityEstimator {
     return static_cast<std::size_t>(col_base_) + i;
   }
 
-  /// Store coordinate i (construction-time only; merges go through the
-  /// fingerprint-maintaining paths above).
-  void SetCoord(std::size_t i, double v);
-
   /// Full O(L) rebuild of fingerprint_ (construction / wholesale resets).
   void RecomputeFingerprint();
 
-  std::vector<double> mins_;        // owned layout; empty when pooled
-  SketchPool* pool_ = nullptr;      // pooled layout; not owned
-  std::size_t node_ = 0;            // pool row
-  int col_base_ = 0;                // first pool column
-  int len_ = 0;                     // L, both layouts
+  SketchPool* pool_;  // not owned
+  std::size_t node_;  // pool row
+  int col_base_;      // first pool column
+  int len_;           // L
   std::uint64_t fingerprint_ = 0;
 };
 

@@ -32,12 +32,8 @@ HjswyProgram::HjswyProgram(NodeId id, Value input, HjswyOptions options,
                            util::Rng rng, SketchPool* pool)
     : options_(options),
       id_(id),
-      sketch_(pool != nullptr
-                  ? CardinalityEstimator(options.sketch_len, rng, pool,
-                                         static_cast<std::size_t>(id),
-                                         /*col_base=*/0)
-                  : CardinalityEstimator(options.sketch_len, rng,
-                                         /*quantize_float32=*/true)),
+      sketch_(options.sketch_len, rng, pool, static_cast<std::size_t>(id),
+              /*col_base=*/0),
       agg_min_id_(id),
       agg_min_value_(input),
       agg_max_value_(input) {
@@ -55,14 +51,9 @@ HjswyProgram::HjswyProgram(NodeId id, Value input, HjswyOptions options,
   if (options_.track_sum) {
     const auto weight =
         input > 0 ? static_cast<std::uint64_t>(input) : std::uint64_t{0};
-    sum_sketch_ =
-        pool != nullptr
-            ? CardinalityEstimator::ForWeight(
-                  weight, options_.sketch_len, rng, pool,
-                  static_cast<std::size_t>(id),
-                  /*col_base=*/options_.sketch_len)
-            : CardinalityEstimator::ForWeight(weight, options_.sketch_len, rng,
-                                              /*quantize_float32=*/true);
+    sum_sketch_ = CardinalityEstimator::ForWeight(
+        weight, options_.sketch_len, rng, pool, static_cast<std::size_t>(id),
+        /*col_base=*/options_.sketch_len);
   }
 }
 
@@ -209,7 +200,7 @@ void HjswyProgram::OnReceive(Round r, Inbox<Message> inbox) {
   // Every sender follows the same rotation schedule, so all messages of one
   // round carry the same [coord_base, coord_base + num_coords) window.
   // Reduce the inbox columnwise to running minima first, then apply one
-  // MergeBlock per sketch: k·c branchy MergeCoord calls become a tight k×c
+  // MergeBlockBits per sketch: k·c branchy MergeCoord calls become a tight k×c
   // selection loop plus one bounds-checked block merge. Min is selection
   // (never arithmetic), so the merged sketch is bit-identical to the
   // coordinate-at-a-time order. A message whose window disagrees with the
@@ -221,9 +212,7 @@ void HjswyProgram::OnReceive(Round r, Inbox<Message> inbox) {
   // the bit patterns. That turns the per-message inner loop into a pure
   // integer min, run through the SIMD-dispatched kernels::MinU32 (the
   // dispatch pointer is hoisted out of the message loop, so each message
-  // pays one perfectly-predicted indirect call, not an atomic load); the one
-  // conversion to double happens after the loop, when the reduced block is
-  // handed to MergeBlock.
+  // pays one perfectly-predicted indirect call, not an atomic load).
   std::int32_t block_base = -1;
   std::int32_t block_len = 0;
   bool block_has_sum = false;
@@ -288,8 +277,7 @@ void HjswyProgram::OnReceive(Round r, Inbox<Message> inbox) {
         block_len, static_cast<std::int32_t>(sketch_.size()) - block_base));
     const auto base = static_cast<std::size_t>(block_base);
     // The reduced block stays in the wire's float32 bit domain: the
-    // estimator merges it bits-native in the pooled layout and decodes to
-    // double for the owned kernel path — identical outcomes either way.
+    // estimator merges it bits-native against its float32 store.
     if (sketch_.MergeBlockBits(base, block_bits.data(), len)) {
       changed = true;
       ++obs_phase_.work;

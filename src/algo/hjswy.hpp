@@ -125,14 +125,12 @@ class HjswyProgram {
 
   /// `rng` seeds this node's private sketch draws (fork it per node).
   ///
-  /// With `pool` non-null the sketches live in the shared SoA pool at row
-  /// `id` (the count sketch in columns [0, L), the track_sum sketch in
-  /// [L, 2L)): the pool must be sized for every node id in the run and for
-  /// track_sum if enabled (see RequiredPoolColumns), and must outlive the
-  /// program. Null keeps the per-node owned layout; both layouts are pinned
-  /// bit-identical (test_sketch_pool).
+  /// The sketches live in the shared SoA `pool` at row `id` (the count
+  /// sketch in columns [0, L), the track_sum sketch in [L, 2L)): the pool
+  /// must be non-null, sized for every node id in the run and for track_sum
+  /// if enabled (see RequiredPoolColumns), and must outlive the program.
   HjswyProgram(NodeId id, Value input, HjswyOptions options, util::Rng rng,
-               SketchPool* pool = nullptr);
+               SketchPool* pool);
 
   /// Pool columns one node needs under `options` (L, or 2L with track_sum).
   static int RequiredPoolColumns(const HjswyOptions& options) {

@@ -21,8 +21,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Scalar tier — the reference semantics every wider tier must reproduce
 // bit for bit. MinU32 is exact unsigned min (not just on the float32 bit
-// domain), and LtMaskF64 is the IEEE strict-less of the scalar MergeBlock
-// loop, so equivalence holds on every input the callers are allowed to pass.
+// domain), so equivalence holds on every input.
 // ---------------------------------------------------------------------------
 
 void MinU32Scalar(std::uint32_t* acc, const std::uint32_t* vals,
@@ -30,15 +29,6 @@ void MinU32Scalar(std::uint32_t* acc, const std::uint32_t* vals,
   for (std::size_t i = 0; i < len; ++i) {
     acc[i] = std::min(acc[i], vals[i]);
   }
-}
-
-std::uint64_t LtMaskF64Scalar(const double* vals, const double* mins,
-                              std::size_t len) {
-  std::uint64_t mask = 0;
-  for (std::size_t i = 0; i < len; ++i) {
-    mask |= static_cast<std::uint64_t>(vals[i] < mins[i]) << i;
-  }
-  return mask;
 }
 
 #if SDN_KERNELS_X86
@@ -66,22 +56,6 @@ void MinU32Sse2(std::uint32_t* acc, const std::uint32_t* vals,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i), m);
   }
   for (; i < len; ++i) acc[i] = std::min(acc[i], vals[i]);
-}
-
-std::uint64_t LtMaskF64Sse2(const double* vals, const double* mins,
-                            std::size_t len) {
-  std::uint64_t mask = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= len; i += 2) {
-    const __m128d v = _mm_loadu_pd(vals + i);
-    const __m128d m = _mm_loadu_pd(mins + i);
-    mask |= static_cast<std::uint64_t>(_mm_movemask_pd(_mm_cmplt_pd(v, m)))
-            << i;
-  }
-  for (; i < len; ++i) {
-    mask |= static_cast<std::uint64_t>(vals[i] < mins[i]) << i;
-  }
-  return mask;
 }
 
 // ---------------------------------------------------------------------------
@@ -113,33 +87,12 @@ __attribute__((target("avx2"))) void MinU32Avx2(std::uint32_t* acc,
   for (; i < len; ++i) acc[i] = std::min(acc[i], vals[i]);
 }
 
-__attribute__((target("avx2"))) std::uint64_t LtMaskF64Avx2(
-    const double* vals, const double* mins, std::size_t len) {
-  std::uint64_t mask = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256d v = _mm256_loadu_pd(vals + i);
-    const __m256d m = _mm256_loadu_pd(mins + i);
-    mask |= static_cast<std::uint64_t>(
-                _mm256_movemask_pd(_mm256_cmp_pd(v, m, _CMP_LT_OQ)))
-            << i;
-  }
-  for (; i < len; ++i) {
-    mask |= static_cast<std::uint64_t>(vals[i] < mins[i]) << i;
-  }
-  return mask;
-}
-
 #endif  // SDN_KERNELS_X86
-
-using LtMaskF64Fn = std::uint64_t (*)(const double*, const double*,
-                                      std::size_t);
 
 // Dispatch state. constinit scalar defaults mean any call that races static
 // initialization (or runs on a non-x86 build) gets correct-if-slow scalar
 // code; the startup initializer below upgrades to the widest permitted tier.
 constinit std::atomic<MinU32Fn> g_min_u32{&MinU32Scalar};
-constinit std::atomic<LtMaskF64Fn> g_lt_mask_f64{&LtMaskF64Scalar};
 constinit std::atomic<int> g_active_isa{static_cast<int>(Isa::kScalar)};
 
 void SetIsaUnchecked(Isa isa) {
@@ -147,16 +100,13 @@ void SetIsaUnchecked(Isa isa) {
 #if SDN_KERNELS_X86
     case Isa::kAvx2:
       g_min_u32.store(&MinU32Avx2, std::memory_order_relaxed);
-      g_lt_mask_f64.store(&LtMaskF64Avx2, std::memory_order_relaxed);
       break;
     case Isa::kSse2:
       g_min_u32.store(&MinU32Sse2, std::memory_order_relaxed);
-      g_lt_mask_f64.store(&LtMaskF64Sse2, std::memory_order_relaxed);
       break;
 #endif
     default:
       g_min_u32.store(&MinU32Scalar, std::memory_order_relaxed);
-      g_lt_mask_f64.store(&LtMaskF64Scalar, std::memory_order_relaxed);
       isa = Isa::kScalar;
       break;
   }
@@ -225,11 +175,5 @@ void MinU32(std::uint32_t* acc, const std::uint32_t* vals, std::size_t len) {
 }
 
 MinU32Fn MinU32Kernel() { return g_min_u32.load(std::memory_order_relaxed); }
-
-std::uint64_t LtMaskF64(const double* vals, const double* mins,
-                        std::size_t len) {
-  SDN_CHECK(len <= 64);
-  return g_lt_mask_f64.load(std::memory_order_relaxed)(vals, mins, len);
-}
 
 }  // namespace sdn::algo::kernels

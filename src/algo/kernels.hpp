@@ -1,28 +1,17 @@
-// Runtime-dispatched SIMD kernels for the deliver-phase hot loops.
+// Runtime-dispatched SIMD kernel for the deliver-phase hot loop.
 //
-// Two primitives back the whole message path (docs/PERF.md "Hot-path
-// reclaim"):
-//
-//   * MinU32 — columnwise unsigned min of one u32 block into an accumulator.
-//     Every hjswy wire coordinate is a nonnegative float32 bit pattern (Exp
-//     draws quantized to float; +inf for weight 0), and for nonnegative IEEE
-//     floats value order coincides with unsigned order of the bit patterns —
-//     so the per-message inbox reduction is a pure integer min (PR 4 proved
-//     the trick scalar; this widens it to explicit SIMD).
-//   * LtMaskF64 — per-lane strict-less mask of a candidate block against the
-//     current sketch minima, with NO store. CardinalityEstimator::MergeBlock
-//     needs the old value of every decreased coordinate to maintain its
-//     incremental fingerprint, so the kernel only answers "which lanes
-//     decreased"; the caller rewrites exactly those lanes (O(#changed),
-//     usually zero once a phase has converged — the common suffix-round call
-//     is one vector compare that returns 0).
+// MinU32 is the only kernel (docs/PERF.md "Hot-path reclaim"): columnwise
+// unsigned min of one u32 block into an accumulator. Every hjswy wire
+// coordinate is a nonnegative float32 bit pattern (Exp draws quantized to
+// float; +inf for weight 0), and for nonnegative IEEE floats value order
+// coincides with unsigned order of the bit patterns — so the per-message
+// inbox reduction is a pure integer min, here in explicit SIMD.
 //
 // Dispatch policy: one probe at startup picks the widest tier the CPU
 // supports (AVX2 > SSE2 > scalar); the SDN_SIMD environment variable
 // ("scalar" / "sse2" / "avx2", read once) caps or forces the tier, and
-// SetIsa() lets tests flip tiers at runtime. Every tier computes
-// bit-identical results on the kernels' declared domains (NaN-free,
-// nonnegative) — the property suites pin scalar == SSE2 == AVX2, and the
+// SetIsa() lets tests flip tiers at runtime. Every tier computes the exact
+// unsigned min — the property suite pins scalar == SSE2 == AVX2, and the
 // engine pins RunStats equality across tiers. Non-x86 builds compile the
 // scalar tier only.
 #pragma once
@@ -57,12 +46,6 @@ void SetIsa(Isa isa);
 /// scalar tail); the float32-bit-domain contract is the caller's concern —
 /// the kernel is a plain unsigned min.
 void MinU32(std::uint32_t* acc, const std::uint32_t* vals, std::size_t len);
-
-/// Bitmask (bit i set iff vals[i] < mins[i], IEEE double compare) over a
-/// block of len <= 64 lanes. Pure read — no lane is modified. Inputs must
-/// be NaN-free; +/-inf are fine. Bit-identical semantics across tiers.
-[[nodiscard]] std::uint64_t LtMaskF64(const double* vals, const double* mins,
-                                      std::size_t len);
 
 /// Raw kernel pointer for per-message hot loops: resolving the dispatch
 /// once per OnReceive (one relaxed atomic load) and calling the returned

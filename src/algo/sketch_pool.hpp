@@ -1,25 +1,22 @@
 // Structure-of-arrays backing store for hjswy sketch coordinates.
 //
-// Per-node `std::vector<double> mins_` costs 8 bytes/coordinate plus a heap
-// allocation (and a pointer chase) per node — at n = 2^20 with L = 64 that
-// is ~0.5 GB of doubles scattered across a million allocations, and the
-// delivery hot loop (every node min-merging the same rotating c-coordinate
-// window each round) walks them in the worst possible order for the cache.
+// Per-node `std::vector<double>` storage would cost 8 bytes/coordinate plus
+// a heap allocation (and a pointer chase) per node — at n = 2^20 with
+// L = 64 that is ~0.5 GB of doubles scattered across a million
+// allocations, and the delivery hot loop (every node min-merging the same
+// rotating c-coordinate window each round) would walk them in the worst
+// possible order for the cache.
 //
 // The pool stores every node's coordinates in one contiguous float32 block,
 // column-major: coordinate j of node u lives at data[j*n + u]. All wire
 // values are float32-quantized already (the bounded-bandwidth encoding), so
-// float storage loses nothing: the owned representation stores
-// double(float(v)) and the pool stores float(v), and both decode to the
-// identical double. The engine delivers to nodes in ascending order within
-// a shard and every sender follows the same rotation schedule, so one
-// round's merges touch c adjacent-in-column entries per node and
-// consecutive nodes hit consecutive offsets in those same c columns —
-// ~1/16th the cache-line traffic of the per-node layout at scale.
+// float storage loses nothing. The engine delivers to nodes in ascending
+// order within a shard and every sender follows the same rotation schedule,
+// so one round's merges touch c adjacent-in-column entries per node and
+// consecutive nodes hit consecutive offsets in those same c columns.
 //
-// The pool is plain storage: CardinalityEstimator (pooled mode) owns all
-// merge/fingerprint semantics, and the pin suite asserts RunStats equality
-// between pooled and per-node layouts.
+// The pool is plain storage: CardinalityEstimator owns all merge and
+// fingerprint semantics.
 #pragma once
 
 #include <bit>

@@ -326,19 +326,14 @@ std::unique_ptr<SimBase> MakeSim(Algorithm algorithm,
       hjswy.exact_census = (algorithm == Algorithm::kHjswyCensus);
       hjswy.strict = (algorithm == Algorithm::kHjswyStrict);
       util::Rng base(util::MixSeed(config.seed, 0xb0b5ULL));
-      // SoA sketch backing (default): one float32 pool shared by all nodes,
-      // owned by the sim via the context handle. The rng draw sequence and
-      // merge semantics are identical to the per-node layout (pinned by
-      // test_sketch_pool), so this is purely a memory-layout choice.
-      std::shared_ptr<algo::SketchPool> pool;
-      if (config.pooled_sketches) {
-        pool = std::make_shared<algo::SketchPool>(
-            static_cast<std::size_t>(config.n),
-            algo::HjswyProgram::RequiredPoolColumns(hjswy));
-        if (config.memory_budget != nullptr) {
-          config.memory_budget->Get("sketch_pool")
-              ->SetCurrent(static_cast<std::int64_t>(pool->bytes()));
-        }
+      // SoA sketch backing: one float32 pool shared by all nodes, owned by
+      // the sim via the context handle.
+      const auto pool = std::make_shared<algo::SketchPool>(
+          static_cast<std::size_t>(config.n),
+          algo::HjswyProgram::RequiredPoolColumns(hjswy));
+      if (config.memory_budget != nullptr) {
+        config.memory_budget->Get("sketch_pool")
+            ->SetCurrent(static_cast<std::int64_t>(pool->bytes()));
       }
       return std::make_unique<TypedSim<algo::HjswyProgram>>(
           config, algo::HjswyProgram::InfoFor(hjswy),

@@ -117,12 +117,6 @@ struct RunConfig {
   bool anomaly = true;
   /// Rule thresholds / windows / dump policy (obs::AnomalyOptions).
   obs::AnomalyOptions anomaly_options{};
-  /// Back the hjswy sketches with the shared structure-of-arrays float32
-  /// pool (algo::SketchPool) instead of per-node vectors. Bit-identical
-  /// results either way (the pin suite enforces RunStats equality); off is
-  /// a pure A/B knob for the per-node layout. Ignored by non-sketch
-  /// algorithms.
-  bool pooled_sketches = true;
   /// Byte-accounting sink shared by the engine and the run's caller-side
   /// subsystems (sketch pool). Null = the engine's internal budget is used
   /// and RunStats::memory still reports the engine subsystems. Must

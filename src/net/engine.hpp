@@ -188,9 +188,6 @@ struct EngineOptions {
   /// DirectSendProgram algorithms under oblivious adversaries (adaptive
   /// ones sample PublicState between deliver r and send r+1).
   bool fused_send_deliver = true;
-  /// When set, every round's topology is appended here (replay/debugging)
-  /// at the cost of exactly one Graph copy per round.
-  std::vector<graph::Graph>* record_topologies = nullptr;
   /// When set, every round's topology is streamed into this delta-encoded
   /// v2 trace writer (net/trace.hpp) — recording without retaining the
   /// graph sequence in memory. Must outlive the engine; the engine does not
@@ -333,9 +330,6 @@ class Engine final : private AdversaryView {
       // starving consumers when the fast path was picked.
       SDN_CHECK(!need_delta_ || has_delta);
       UpdateTopologyChurn(has_delta);
-      if (options_.record_topologies != nullptr) {
-        options_.record_topologies->push_back(topo_.View());
-      }
       if (options_.record_trace != nullptr) {
         options_.record_trace->Push(topo_.View(), delta_);
       }
@@ -353,9 +347,6 @@ class Engine final : private AdversaryView {
       }
       SDN_CHECK_MSG(g.num_nodes() == n_,
                     "adversary produced wrong-size graph");
-      if (options_.record_topologies != nullptr) {
-        options_.record_topologies->push_back(g);  // the one recording copy
-      }
       if (options_.record_trace != nullptr) {
         options_.record_trace->Push(g);
       }

@@ -4,34 +4,26 @@
 // under. Traces make failures reproducible across machines, allow paired
 // algorithm comparisons on identical dynamics, and let external topology
 // data (e.g. converted mobility traces) drive the simulator through
-// ReplayAdversary.
+// ReplayAdversary or StreamingTraceAdversary.
 //
-// Two text formats (line oriented, '#' comments allowed):
-//
-// Version 1 — every round carries its full edge list:
-//   sdn-trace 1
-//   nodes <N> interval <T> rounds <R>
-//   round <r> edges <m>
-//   <u> <v>                          (m lines)
-//   ...
-//
-// Version 2 — delta-encoded (the default writer output). Keyframe rounds
-// (round 1, then every K rounds: r ≡ 1 (mod K)) carry the full edge list;
-// every other round carries the delta against round r-1. Rounds are
-// numbered 1..R strictly in order and the stream ends at EOF (no round
-// count in the header, so the format can be written streamingly):
+// The format is delta-encoded text (line oriented, '#' comments allowed).
+// Keyframe rounds (round 1, then every K rounds: r ≡ 1 (mod K)) carry the
+// full edge list; every other round carries the delta against round r-1.
+// Rounds are numbered 1..R strictly in order and the stream ends at EOF (no
+// round count in the header, so the format can be written streamingly):
 //   sdn-trace 2
 //   nodes <N> interval <T> keyframe <K>
 //   round <r> full <m>               (keyframe)
-//   <u> <v>                          (m lines)
+//   <u> <v>                          (m lines, sorted, u < v)
 //   round <r> delta <a> <d>          (non-keyframe)
 //   +<u> <v>                         (a added-edge lines, sorted)
 //   -<u> <v>                         (d removed-edge lines, sorted)
 //   ...
 // Under the T-interval promise consecutive rounds differ by few edges, so
-// v2 is much smaller than v1 for the same sequence; keyframes bound how
-// much a reader must replay and make truncated files recoverable up to the
-// last complete round.
+// deltas are much smaller than full lists; keyframes bound how much a
+// reader must replay and make truncated files recoverable up to the last
+// complete round. Version 1 (a full edge list every round) is no longer
+// read or written.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +47,7 @@ struct Trace {
 };
 
 struct TraceWriteOptions {
-  /// 1 = full per-round edge lists, 2 = delta-encoded with keyframes.
-  int version = 2;
-  /// v2 keyframe period K (round r is a keyframe iff r ≡ 1 mod K).
+  /// Keyframe period K (round r is a keyframe iff r ≡ 1 mod K).
   std::int64_t keyframe_every = 64;
 };
 
@@ -65,11 +55,13 @@ struct TraceWriteOptions {
 void SaveTrace(const std::string& path, std::span<const graph::Graph> rounds,
                int interval, TraceWriteOptions options = {});
 
-/// Parses a trace file of either version; CheckError on malformed input.
+/// Materializes every round of a trace file (TraceStreamReader records
+/// replayed into one DynGraph); CheckError on malformed input or a trace
+/// with no rounds.
 Trace LoadTrace(const std::string& path);
 
-/// Streaming v2 reader: the dual of TraceRecorder. Rounds are parsed one at
-/// a time with O(E_round) live state — one reused edge/delta buffer, never
+/// Streaming reader: the dual of TraceRecorder. Rounds are parsed one at a
+/// time with O(E_round) live state — one reused edge/delta buffer, never
 /// the whole sequence — so a million-node trace can drive the engine
 /// (StreamingTraceAdversary) with a topology footprint independent of the
 /// number of rounds, where LoadTrace would materialize rounds · CSR.
@@ -85,17 +77,20 @@ class TraceStreamReader {
     graph::TopologyDelta delta;     // non-keyframe rounds only
   };
 
-  /// Opens `path` and parses the v2 header; CheckError on I/O failure, a
-  /// malformed header, or a v1 trace (which has no delta stream to read).
+  /// Opens `path` and parses the header; CheckError on I/O failure, a
+  /// malformed header, or any version other than 2 (the message names it).
   explicit TraceStreamReader(const std::string& path);
 
   [[nodiscard]] graph::NodeId num_nodes() const { return n_; }
   [[nodiscard]] int interval() const { return interval_; }
   [[nodiscard]] std::int64_t keyframe_every() const { return keyframe_every_; }
 
-  /// Parses the next round into `out`; false at EOF. Round numbering and
-  /// keyframe cadence are validated; delta contents are validated by the
-  /// consumer's DynGraph::Apply (same protocol as LoadTrace).
+  /// Parses the next round into `out`; false at EOF. CheckError on
+  /// anything malformed that one record shows on its own: round numbering,
+  /// keyframe cadence, counts above n(n-1)/2, a record cut short, edge ids
+  /// outside [0, n), self-loops, unsorted or duplicate edge lists, and
+  /// delta signs out of order. Whether a delta fits the graph it applies
+  /// to is validated by the consumer's DynGraph::Apply.
   bool Next(Round& out);
 
   [[nodiscard]] std::int64_t rounds_read() const { return rounds_; }
@@ -107,15 +102,16 @@ class TraceStreamReader {
   graph::NodeId n_ = 0;
   int interval_ = 1;
   std::int64_t keyframe_every_ = 1;
+  std::int64_t max_edges_ = 0;  // n(n-1)/2: bound on any count in the file
   std::int64_t rounds_ = 0;
 };
 
-/// Streaming v2 writer: rounds are appended one at a time and hit the file
+/// Streaming writer: rounds are appended one at a time and hit the file
 /// as they arrive, so the engine can record arbitrarily long runs without
 /// retaining the graph sequence in memory (EngineOptions::record_trace).
 class TraceRecorder {
  public:
-  /// Opens `path` and writes the v2 header; CheckError on I/O failure.
+  /// Opens `path` and writes the header; CheckError on I/O failure.
   TraceRecorder(const std::string& path, graph::NodeId n, int interval,
                 std::int64_t keyframe_every = 64);
   ~TraceRecorder();

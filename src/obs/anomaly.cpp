@@ -84,21 +84,25 @@ void AnomalyEngine::Observe(const RoundSignals& s,
       }
     }
     if (track == nullptr) {
-      gauges_.push_back({m.subsystem, m.bytes});  // first sight: baseline only
+      gauges_.push_back({m.subsystem, m.bytes, 1});  // first sight: baseline
       continue;
     }
-    if (track->last_bytes > 0) {
-      const std::int64_t step = m.bytes - track->last_bytes;
+    // Judged against the gauge's own high-water mark, and only once the
+    // gauge is past the warm-up: a level that oscillates below an earlier
+    // peak (the live topology alternates between one and two spines every
+    // era) or a buffer sizing itself in the first rounds is not a jump.
+    if (track->samples >= options_.min_samples && track->peak_bytes > 0) {
       const std::int64_t threshold = std::max(
           options_.memory_jump_floor_bytes,
           static_cast<std::int64_t>(options_.memory_jump_factor *
-                                    static_cast<double>(track->last_bytes)));
-      if (step > threshold) {
+                                    static_cast<double>(track->peak_bytes)));
+      if (m.bytes - track->peak_bytes > threshold) {
         Fire(AnomalyRule::kMemoryJump, s.round, m.bytes,
-             track->last_bytes + threshold, m.subsystem);
+             track->peak_bytes + threshold, m.subsystem);
       }
     }
-    track->last_bytes = m.bytes;
+    track->peak_bytes = std::max(track->peak_bytes, m.bytes);
+    ++track->samples;
   }
 
   if (s.certified_T >= 0) {

@@ -12,8 +12,9 @@
 //   kRoundTimeSpike       | rolling p99 of total_ns  | round > factor x p99 (and
 //                         |                          | above an absolute floor)
 //   kAuxLaneStall         | aux-lane Drain wait      | wait > aux_stall_ns
-//   kMemoryJump           | per-gauge byte level     | step > factor x previous
-//                         |                          | (and above a byte floor)
+//   kMemoryJump           | per-gauge high-water     | level > mark + factor x
+//                         | mark                     | mark (and a byte floor),
+//                         |                          | after min_samples
 //   kCertRegression       | certified-T / bad window | certified-T drops, or the
 //                         |                          | first bad window appears
 //   kRecorderDropOnset    | recorder drop counter    | drops start (ring wrapped)
@@ -74,7 +75,9 @@ struct AnomalyOptions {
   /// Rolling window, in rounds, for every per-phase latency histogram.
   int window = 64;
   /// kRoundTimeSpike arms only after this many rounds seeded the window
-  /// (a spike vs an empty baseline is meaningless).
+  /// (a spike vs an empty baseline is meaningless); kMemoryJump only after
+  /// a gauge has been sampled this many times (buffers size themselves in
+  /// the first rounds).
   int min_samples = 8;
   /// kRoundTimeSpike: round total_ns > spike_factor x rolling p99 ...
   double spike_factor = 8.0;
@@ -84,7 +87,8 @@ struct AnomalyOptions {
   /// kAuxLaneStall: a lane Drain wait above this fires (250 ms default —
   /// a healthy prefetch join is microseconds).
   std::int64_t aux_stall_ns = 250'000'000;
-  /// kMemoryJump: gauge step > memory_jump_factor x previous level ...
+  /// kMemoryJump: a gauge level above its own high-water mark by more than
+  /// memory_jump_factor x that mark ...
   double memory_jump_factor = 0.5;
   /// ... and > this many bytes (1 MiB default), so tiny-run gauges
   /// rounding up a chunk don't fire.
@@ -173,14 +177,15 @@ class AnomalyEngine {
 
   struct GaugeTrack {
     const char* subsystem;
-    std::int64_t last_bytes;
+    std::int64_t peak_bytes;  // high-water mark of the levels seen
+    int samples;
   };
 
   AnomalyOptions options_;
   MetricsRegistry* registry_;
   const FlightRecorder* recorder_;
   std::vector<RollingHist> hists_;     // kNumTracks, sized in the ctor
-  std::vector<GaugeTrack> gauges_;     // previous per-subsystem levels
+  std::vector<GaugeTrack> gauges_;     // per-subsystem high-water marks
   std::vector<AnomalyRecord> records_;
   std::int64_t total_fired_ = 0;
   std::int64_t last_fired_round_[kNumAnomalyRules];  // cooldown state

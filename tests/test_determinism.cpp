@@ -359,10 +359,8 @@ TEST(Determinism, InjectedFaultFiresExactlyOneAnomalyWithDump) {
   config.validate_tinterval = false;
   config.collect_metrics = true;
   config.anomaly = true;
-  // Only the injected 50 ms spike may clear the floor; the byte-level rule
-  // is neutralized (warmup gauge growth is expected, not anomalous).
+  // Only the injected 50 ms spike may clear the floor.
   config.anomaly_options.spike_floor_ns = 10'000'000;
-  config.anomaly_options.memory_jump_floor_bytes = std::int64_t{1} << 60;
   config.anomaly_options.dump_dir = dir;
   config.recorder = &recorder;
   config.threads = 1;
@@ -392,6 +390,27 @@ TEST(Determinism, InjectedFaultFiresExactlyOneAnomalyWithDump) {
   EXPECT_TRUE(manifest.good()) << stem;
   std::remove((stem + ".jsonl").c_str());
   std::remove((stem + ".manifest.json").c_str());
+}
+
+// A healthy run must not page anyone. At this shape the live `topology`
+// gauge alternates between two levels every round (the first round of each
+// era carries two spines) and the DynGraph scratch sizes itself in the
+// first rounds; neither is a jump above the gauge's own high-water mark.
+TEST(AnomalyPlane, HealthySpineGnpRunFiresNoMemoryJump) {
+  RunConfig config;
+  config.n = 16384;
+  config.T = 2;
+  config.seed = 1;
+  config.adversary.kind = "spine-gnp";
+  config.threads = 1;
+  config.collect_metrics = true;
+  const RunResult result = RunAlgorithm(Algorithm::kHjswyEstimate, config);
+  ASSERT_TRUE(result.Ok());
+  for (const obs::AnomalyRecord& r : result.stats.anomalies) {
+    EXPECT_NE(r.rule, obs::AnomalyRule::kMemoryJump)
+        << "round " << r.round << " signal " << r.signal << " value "
+        << r.value << " threshold " << r.threshold;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <optional>
+#include <string>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "algo/flood_max.hpp"
 #include "graph/generators.hpp"
 #include "net/backing.hpp"
+#include "net/trace.hpp"
 #include "obs/recorder.hpp"
 #include "util/check.hpp"
 
@@ -169,14 +172,20 @@ TEST(Engine, DecideRoundsRecorded) {
   }
 }
 
-TEST(Engine, RecordsTopologies) {
+/// Steps `engine` to completion, copying every round's topology.
+template <typename A>
+RunStats RunRecordingTopologies(Engine<A>& engine,
+                                std::vector<graph::Graph>& trace) {
+  while (engine.Step()) trace.push_back(engine.last_topology());
+  return engine.stats();
+}
+
+TEST(Engine, LastTopologyIsEachRoundsGraph) {
   StaticAdversary adv(graph::Cycle(5));
   std::vector<InboxCounter> nodes(5, InboxCounter(3));
-  EngineOptions opts;
+  Engine<InboxCounter> engine(std::move(nodes), adv, {});
   std::vector<graph::Graph> trace;
-  opts.record_topologies = &trace;
-  Engine<InboxCounter> engine(std::move(nodes), adv, opts);
-  (void)engine.Run();
+  (void)RunRecordingTopologies(engine, trace);
   ASSERT_EQ(trace.size(), 3u);
   EXPECT_EQ(trace[0], graph::Cycle(5));
 }
@@ -200,17 +209,13 @@ TEST(Engine, RecordedRunReplaysIdentically) {
   };
 
   std::vector<graph::Graph> trace;
-  EngineOptions record_opts;
-  record_opts.record_topologies = &trace;
-  Engine<FloodMaxKnownN> first(make_nodes(), *original, record_opts);
-  const RunStats first_stats = first.Run();
+  Engine<FloodMaxKnownN> first(make_nodes(), *original, {});
+  const RunStats first_stats = RunRecordingTopologies(first, trace);
 
   adversary::ReplayAdversary replay(trace, 2);
   std::vector<graph::Graph> trace2;
-  EngineOptions replay_opts;
-  replay_opts.record_topologies = &trace2;
-  Engine<FloodMaxKnownN> second(make_nodes(), replay, replay_opts);
-  const RunStats second_stats = second.Run();
+  Engine<FloodMaxKnownN> second(make_nodes(), replay, {});
+  const RunStats second_stats = RunRecordingTopologies(second, trace2);
 
   EXPECT_EQ(first_stats.rounds, second_stats.rounds);
   EXPECT_EQ(first_stats.messages_sent, second_stats.messages_sent);
@@ -218,8 +223,7 @@ TEST(Engine, RecordedRunReplaysIdentically) {
   for (graph::NodeId u = 0; u < 12; ++u) {
     EXPECT_EQ(first.node(u).output(), second.node(u).output());
   }
-  // Recording a replayed run must reproduce the trace exactly (each round
-  // makes exactly one explicit copy into the trace — no divergence possible).
+  // Recording a replayed run must reproduce the trace exactly.
   EXPECT_EQ(trace, trace2);
 }
 
@@ -813,21 +817,27 @@ TEST(Engine, ConsumersSeeEveryDeltaOnIncrementalPath) {
   config.T = 2;
   config.seed = 77;
   const auto run = [&config](bool incremental, std::vector<graph::Graph>* trace,
+                             TraceRecorder* trace_file,
                              obs::FlightRecorder* rec) {
     const auto adv = adversary::MakeAdversary(config);
     std::vector<InboxCounter> nodes(32, InboxCounter(40));
     EngineOptions opts;
     opts.incremental_topology = incremental;
-    opts.record_topologies = trace;
+    opts.record_trace = trace_file;
     opts.recorder = rec;
     Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
-    return engine.Run();
+    return RunRecordingTopologies(engine, *trace);
   };
+  const std::string path = ::testing::TempDir() + "sdn_consumers.trace";
   std::vector<graph::Graph> inc_trace;
   std::vector<graph::Graph> scratch_trace;
+  TraceRecorder trace_file(path, 32, 2);
   obs::FlightRecorder rec;
-  const RunStats inc = run(true, &inc_trace, &rec);
-  const RunStats scratch = run(false, &scratch_trace, nullptr);
+  const RunStats inc = run(true, &inc_trace, &trace_file, &rec);
+  trace_file.Close();
+  const RunStats scratch = run(false, &scratch_trace, nullptr, nullptr);
+  EXPECT_EQ(LoadTrace(path).rounds, inc_trace);
+  std::remove(path.c_str());
   EXPECT_TRUE(inc.tinterval_validated);
   EXPECT_TRUE(inc.tinterval_ok);
   EXPECT_EQ(inc.rounds, scratch.rounds);

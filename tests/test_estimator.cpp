@@ -2,48 +2,74 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "algo/sketch_pool.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace sdn::algo {
 namespace {
 
-/// Simulates full convergence: merge all nodes' sketches into one.
-CardinalityEstimator ConvergedSketch(int n, int L, util::Rng& rng,
-                                     bool quantize = false) {
-  CardinalityEstimator merged(L, rng, quantize);
+/// Min-merges every coordinate of `other` into `into` through the wire
+/// path (float32 bit patterns); true if any coordinate decreased.
+bool MergeAll(CardinalityEstimator& into, const CardinalityEstimator& other) {
+  std::vector<std::uint32_t> bits(static_cast<std::size_t>(other.size()));
+  for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = other.CoordBits(i);
+  return into.MergeBlockBits(0, bits.data(), bits.size());
+}
+
+std::vector<double> Coords(const CardinalityEstimator& sketch) {
+  std::vector<double> out;
+  for (int i = 0; i < sketch.size(); ++i) {
+    out.push_back(sketch.Coord(static_cast<std::size_t>(i)));
+  }
+  return out;
+}
+
+/// Simulates full convergence: merges n nodes' sketches into row 0 of
+/// `pool`, drawing each other node's sketch into row 1 in turn.
+CardinalityEstimator ConvergedSketch(SketchPool& pool, int n, int L,
+                                     util::Rng& rng) {
+  CardinalityEstimator merged(L, rng, &pool, 0, 0);
   for (int i = 1; i < n; ++i) {
-    const CardinalityEstimator other(L, rng, quantize);
-    merged.Merge(other.mins());
+    const CardinalityEstimator other(L, rng, &pool, 1, 0);
+    MergeAll(merged, other);
   }
   return merged;
 }
 
-TEST(Estimator, RejectsTooFewCoordinates) {
+TEST(Estimator, RejectsBadShapes) {
   util::Rng rng(1);
-  EXPECT_THROW(CardinalityEstimator(2, rng), util::CheckError);
+  SketchPool pool(/*nodes=*/2, /*columns=*/8);
+  EXPECT_THROW(CardinalityEstimator(2, rng, &pool, 0, 0), util::CheckError);
+  EXPECT_THROW(CardinalityEstimator(4, rng, nullptr, 0, 0), util::CheckError);
+  EXPECT_THROW(CardinalityEstimator(4, rng, &pool, 2, 0), util::CheckError);
+  EXPECT_THROW(CardinalityEstimator(4, rng, &pool, 0, 5), util::CheckError);
 }
 
 TEST(Estimator, SingleNodeEstimatesNearOne) {
   util::Rng rng(2);
+  SketchPool pool(1, 64);
   double total = 0.0;
   const int trials = 300;
   for (int t = 0; t < trials; ++t) {
-    total += CardinalityEstimator(64, rng).Estimate();
+    total += CardinalityEstimator(64, rng, &pool, 0, 0).Estimate();
   }
   EXPECT_NEAR(total / trials, 1.0, 0.08);
 }
 
 TEST(Estimator, ConvergedEstimateTracksN) {
   util::Rng rng(3);
+  SketchPool pool(2, 128);
   for (const int n : {10, 100, 1000}) {
     double total = 0.0;
     const int trials = 30;
     for (int t = 0; t < trials; ++t) {
-      total += ConvergedSketch(n, 128, rng).Estimate();
+      total += ConvergedSketch(pool, n, 128, rng).Estimate();
     }
     const double mean = total / trials;
     // Relative stddev ~ 1/sqrt(126) ≈ 0.09; 30 trials → sem ≈ 1.6%.
@@ -55,10 +81,11 @@ TEST(Estimator, ErrorShrinksWithL) {
   util::Rng rng(4);
   const int n = 500;
   const auto spread = [&](int L) {
+    SketchPool pool(2, L);
     double sum_sq = 0.0;
     const int trials = 60;
     for (int t = 0; t < trials; ++t) {
-      const double rel = ConvergedSketch(n, L, rng).Estimate() / n - 1.0;
+      const double rel = ConvergedSketch(pool, n, L, rng).Estimate() / n - 1.0;
       sum_sq += rel * rel;
     }
     return std::sqrt(sum_sq / trials);
@@ -70,91 +97,100 @@ TEST(Estimator, ErrorShrinksWithL) {
 }
 
 TEST(Estimator, MergeIsIdempotentAndCommutative) {
+  SketchPool pool(3, 16);
   util::Rng rng(5);
-  CardinalityEstimator a(16, rng);
-  CardinalityEstimator b(16, rng);
-  CardinalityEstimator a2 = a;
-  EXPECT_TRUE(a.Merge(b.mins()) || true);  // merge once
-  const auto snapshot = std::vector<double>(a.mins().begin(), a.mins().end());
-  EXPECT_FALSE(a.Merge(b.mins()));  // idempotent
+  CardinalityEstimator a(16, rng, &pool, 0, 0);
+  CardinalityEstimator b(16, rng, &pool, 1, 0);
+  util::Rng replay(5);
+  const CardinalityEstimator a2(16, replay, &pool, 2, 0);  // a's draws
+  ASSERT_EQ(Coords(a), Coords(a2));
+  MergeAll(a, b);
+  const std::vector<double> snapshot = Coords(a);
+  EXPECT_FALSE(MergeAll(a, b));  // idempotent
   // Commutativity: b ∪ a == a ∪ b.
-  b.Merge(a2.mins());
-  EXPECT_TRUE(std::equal(snapshot.begin(), snapshot.end(), b.mins().begin()));
+  MergeAll(b, a2);
+  EXPECT_EQ(Coords(b), snapshot);
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
 }
 
 TEST(Estimator, MergeCoordOnlyTouchesOneCoordinate) {
   util::Rng rng(6);
-  CardinalityEstimator a(8, rng);
-  const double tiny = 1e-9;
+  SketchPool pool(1, 8);
+  CardinalityEstimator a(8, rng, &pool, 0, 0);
+  const std::vector<double> before = Coords(a);
+  const double tiny = static_cast<double>(1e-9f);
   EXPECT_TRUE(a.MergeCoord(3, tiny));
-  EXPECT_DOUBLE_EQ(a.mins()[3], tiny);
+  std::vector<double> want = before;
+  want[3] = tiny;
+  EXPECT_EQ(Coords(a), want);
   EXPECT_FALSE(a.MergeCoord(3, 1.0));  // not smaller
-  // The per-call bounds check is gated (release hot loops run check-free);
-  // with the guard on, an out-of-range coordinate must throw.
+  // The per-call checks are gated (release hot loops run check-free); with
+  // the guard on, an out-of-range coordinate or a value the float32 store
+  // cannot hold must throw.
   const bool old = VerifyEstimatorChecks();
   SetVerifyEstimatorChecks(true);
   EXPECT_THROW(a.MergeCoord(8, 0.5), util::CheckError);
+  EXPECT_THROW(a.MergeCoord(0, 1e-9), util::CheckError);
   SetVerifyEstimatorChecks(old);
 }
 
-TEST(Estimator, MergeBlockMatchesMergeCoordLoop) {
+TEST(Estimator, MergeBlockBitsMatchesMergeCoordLoop) {
+  // The bits-domain block merge compares unsigned float32 patterns; for the
+  // nonnegative values sketches hold that must decide exactly like the
+  // double compare of the coordinate-at-a-time path.
+  SketchPool pool(2, 32);
   util::Rng rng(12);
-  CardinalityEstimator block_merged(32, rng);
+  CardinalityEstimator block_merged(32, rng, &pool, 0, 0);
   util::Rng rng_copy(12);
-  CardinalityEstimator coord_merged(32, rng_copy);
-  ASSERT_EQ(block_merged.mins()[0], coord_merged.mins()[0]);
+  CardinalityEstimator coord_merged(32, rng_copy, &pool, 1, 0);
+  ASSERT_EQ(Coords(block_merged), Coords(coord_merged));
 
   util::Rng vals_rng(13);
   for (int round = 0; round < 50; ++round) {
     const std::size_t base = static_cast<std::size_t>(round) % 28;
-    std::vector<double> vals;
-    for (int i = 0; i < 4; ++i) vals.push_back(vals_rng.Exponential(1.0));
+    std::vector<std::uint32_t> bits;
     bool coord_changed = false;
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-      coord_changed |= coord_merged.MergeCoord(base + i, vals[i]);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const auto v = static_cast<float>(vals_rng.Exponential(1.0));
+      bits.push_back(std::bit_cast<std::uint32_t>(v));
+      coord_changed |= coord_merged.MergeCoord(base + i, v);
     }
-    const bool block_changed = block_merged.MergeBlock(base, vals);
+    const bool block_changed =
+        block_merged.MergeBlockBits(base, bits.data(), bits.size());
     EXPECT_EQ(block_changed, coord_changed);
   }
-  // Bit-identical merged state (same float-compare semantics).
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(block_merged.mins()[static_cast<std::size_t>(i)],
-              coord_merged.mins()[static_cast<std::size_t>(i)]);
-  }
+  EXPECT_EQ(Coords(block_merged), Coords(coord_merged));
   EXPECT_EQ(block_merged.Fingerprint(), coord_merged.Fingerprint());
 }
 
-TEST(Estimator, MergeBlockBoundsCheckedAndIdempotent) {
+TEST(Estimator, MergeBlockBitsBoundsCheckedAndIdempotent) {
   util::Rng rng(14);
-  CardinalityEstimator a(8, rng);
-  const std::vector<double> tiny(4, 1e-12);
-  EXPECT_TRUE(a.MergeBlock(4, tiny));
-  EXPECT_FALSE(a.MergeBlock(4, tiny));  // idempotent: nothing decreases twice
+  SketchPool pool(1, 8);
+  CardinalityEstimator a(8, rng, &pool, 0, 0);
+  const std::vector<std::uint32_t> tiny(4,
+                                        std::bit_cast<std::uint32_t>(1e-12f));
+  EXPECT_TRUE(a.MergeBlockBits(4, tiny.data(), tiny.size()));
+  // Idempotent: nothing decreases twice.
+  EXPECT_FALSE(a.MergeBlockBits(4, tiny.data(), tiny.size()));
   // The hoisted bounds check is always on: one check per block, not per
   // coordinate, so even release builds reject an overflowing block.
-  EXPECT_THROW(a.MergeBlock(5, tiny), util::CheckError);
-  EXPECT_THROW(a.MergeBlock(9, {}), util::CheckError);
+  EXPECT_THROW(a.MergeBlockBits(5, tiny.data(), tiny.size()),
+               util::CheckError);
+  EXPECT_THROW(a.MergeBlockBits(9, tiny.data(), 0), util::CheckError);
 }
 
 TEST(Estimator, FingerprintDetectsAnyChange) {
   util::Rng rng(7);
-  CardinalityEstimator a(32, rng);
+  SketchPool pool(1, 32);
+  CardinalityEstimator a(32, rng, &pool, 0, 0);
   const std::uint64_t before = a.Fingerprint();
-  a.MergeCoord(31, a.mins()[31] / 2);
+  a.MergeCoord(31, a.Coord(31) / 2);
   EXPECT_NE(a.Fingerprint(), before);
-}
-
-TEST(Estimator, QuantizedSurvivesFloatRoundTrip) {
-  util::Rng rng(8);
-  CardinalityEstimator a(64, rng, /*quantize_float32=*/true);
-  for (const double m : a.mins()) {
-    EXPECT_EQ(m, static_cast<double>(static_cast<float>(m)));
-  }
 }
 
 TEST(Estimator, WeightedSketchEstimatesSum) {
   util::Rng rng(10);
+  SketchPool pool(2, 128);
   const std::vector<std::uint64_t> weights = {5, 0, 120, 7, 0, 368, 1};
   std::uint64_t total = 0;
   for (const auto w : weights) total += w;
@@ -162,9 +198,10 @@ TEST(Estimator, WeightedSketchEstimatesSum) {
   const int trials = 40;
   for (int t = 0; t < trials; ++t) {
     CardinalityEstimator merged =
-        CardinalityEstimator::ForWeight(weights[0], 128, rng);
+        CardinalityEstimator::ForWeight(weights[0], 128, rng, &pool, 0, 0);
     for (std::size_t i = 1; i < weights.size(); ++i) {
-      merged.Merge(CardinalityEstimator::ForWeight(weights[i], 128, rng).mins());
+      MergeAll(merged, CardinalityEstimator::ForWeight(weights[i], 128, rng,
+                                                       &pool, 1, 0));
     }
     sum += merged.Estimate();
   }
@@ -174,21 +211,25 @@ TEST(Estimator, WeightedSketchEstimatesSum) {
 
 TEST(Estimator, AllZeroWeightsEstimateZero) {
   util::Rng rng(11);
-  CardinalityEstimator a = CardinalityEstimator::ForWeight(0, 8, rng);
-  const CardinalityEstimator b = CardinalityEstimator::ForWeight(0, 8, rng);
-  a.Merge(b.mins());
+  SketchPool pool(2, 8);
+  CardinalityEstimator a = CardinalityEstimator::ForWeight(0, 8, rng, &pool,
+                                                           0, 0);
+  const CardinalityEstimator b =
+      CardinalityEstimator::ForWeight(0, 8, rng, &pool, 1, 0);
+  MergeAll(a, b);
   EXPECT_EQ(a.Estimate(), 0.0);
 }
 
 TEST(Estimator, ZeroWeightNeverLowersMinima) {
   util::Rng rng(12);
-  CardinalityEstimator weighted = CardinalityEstimator::ForWeight(9, 16, rng);
-  const auto before =
-      std::vector<double>(weighted.mins().begin(), weighted.mins().end());
-  const CardinalityEstimator zero = CardinalityEstimator::ForWeight(0, 16, rng);
-  EXPECT_FALSE(weighted.Merge(zero.mins()));
-  EXPECT_TRUE(std::equal(before.begin(), before.end(),
-                         weighted.mins().begin()));
+  SketchPool pool(2, 16);
+  CardinalityEstimator weighted =
+      CardinalityEstimator::ForWeight(9, 16, rng, &pool, 0, 0);
+  const std::vector<double> before = Coords(weighted);
+  const CardinalityEstimator zero =
+      CardinalityEstimator::ForWeight(0, 16, rng, &pool, 1, 0);
+  EXPECT_FALSE(MergeAll(weighted, zero));
+  EXPECT_EQ(Coords(weighted), before);
 }
 
 TEST(Estimator, RepetitionsForMatchesStddevTarget) {

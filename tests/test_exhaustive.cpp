@@ -15,6 +15,7 @@
 #include "algo/census.hpp"
 #include "algo/flood_max.hpp"
 #include "algo/hjswy.hpp"
+#include "algo/sketch_pool.hpp"
 #include "graph/algorithms.hpp"
 #include "net/engine.hpp"
 #include "util/rng.hpp"
@@ -161,10 +162,12 @@ TEST(Exhaustive, HjswyCensusExactAgainstEveryThreeNodePrefixAdversary) {
     algo::HjswyOptions options;
     options.T = 1;
     options.exact_census = true;
+    algo::SketchPool pool(static_cast<std::size_t>(n),
+                          algo::HjswyProgram::RequiredPoolColumns(options));
     std::vector<algo::HjswyProgram> nodes;
     for (NodeId u = 0; u < n; ++u) {
       nodes.emplace_back(u, u, options,
-                         base.Fork(static_cast<std::uint64_t>(u)));
+                         base.Fork(static_cast<std::uint64_t>(u)), &pool);
     }
     net::EngineOptions opts;
     opts.flood_probes = 0;

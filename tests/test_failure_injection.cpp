@@ -11,6 +11,7 @@
 #include "algo/census.hpp"
 #include "algo/flood_max.hpp"
 #include "algo/hjswy.hpp"
+#include "algo/sketch_pool.hpp"
 #include "graph/generators.hpp"
 #include "net/engine.hpp"
 #include "util/rng.hpp"
@@ -94,9 +95,11 @@ TEST(FailureInjection, PartitionMakesHjswyHalvesDisagreeOnCount) {
   options.T = 1;
   options.exact_census = true;
   util::Rng base(3);
+  algo::SketchPool pool(32, algo::HjswyProgram::RequiredPoolColumns(options));
   std::vector<algo::HjswyProgram> nodes;
   for (graph::NodeId u = 0; u < 32; ++u) {
-    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)));
+    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)),
+                       &pool);
   }
   EngineOptions opts;
   opts.max_rounds = 100000;
@@ -138,8 +141,9 @@ TEST(FailureInjection, AlarmRaisedOnDivergentSuffixNeighbor) {
   algo::HjswyOptions options;
   options.T = 1;
   util::Rng base(5);
-  algo::HjswyProgram node(0, 7, options, base.Fork(0));
-  algo::HjswyProgram stranger(1, 12345, options, base.Fork(1));
+  algo::SketchPool pool(2, algo::HjswyProgram::RequiredPoolColumns(options));
+  algo::HjswyProgram node(0, 7, options, base.Fork(0), &pool);
+  algo::HjswyProgram stranger(1, 12345, options, base.Fork(1), &pool);
 
   // Find the first suffix round of phase 0.
   Round suffix_round = 1;
@@ -166,9 +170,13 @@ TEST(FailureInjection, QuietIdenticalSuffixRaisesNoAlarm) {
   algo::HjswyOptions options;
   options.T = 1;
   util::Rng base(5);
-  // Two replicas of the same node state (same seed): identical sketches.
-  algo::HjswyProgram node(0, 7, options, base.Fork(0));
-  algo::HjswyProgram twin(0, 7, options, base.Fork(0));
+  // Two replicas of the same node state (same seed): identical sketches,
+  // each in its own pool (both are node 0).
+  const int columns = algo::HjswyProgram::RequiredPoolColumns(options);
+  algo::SketchPool node_pool(1, columns);
+  algo::SketchPool twin_pool(1, columns);
+  algo::HjswyProgram node(0, 7, options, base.Fork(0), &node_pool);
+  algo::HjswyProgram twin(0, 7, options, base.Fork(0), &twin_pool);
   Round suffix_round = 1;
   while (!node.Locate(suffix_round).in_suffix) ++suffix_round;
   for (Round r = 1; r <= suffix_round; ++r) {
@@ -190,9 +198,11 @@ TEST(FailureInjection, EarlyPhasesRejectedWhenHorizonBelowFloodingTime) {
   options.exact_census = true;
   options.initial_horizon = 1;
   util::Rng base(9);
+  algo::SketchPool pool(64, algo::HjswyProgram::RequiredPoolColumns(options));
   std::vector<algo::HjswyProgram> nodes;
   for (graph::NodeId u = 0; u < 64; ++u) {
-    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)));
+    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)),
+                       &pool);
   }
   EngineOptions opts;
   opts.max_rounds = 100000;
@@ -211,9 +221,11 @@ TEST(FailureInjection, DefaultSuffixSurvivesTheSameScenario) {
   options.T = 1;
   options.exact_census = true;
   util::Rng base(9);
+  algo::SketchPool pool(64, algo::HjswyProgram::RequiredPoolColumns(options));
   std::vector<algo::HjswyProgram> nodes;
   for (graph::NodeId u = 0; u < 64; ++u) {
-    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)));
+    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)),
+                       &pool);
   }
   EngineOptions opts;
   opts.max_rounds = 100000;

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "adversary/factory.hpp"
+#include "algo/sketch_pool.hpp"
 #include "net/engine.hpp"
 #include "util/rng.hpp"
 
@@ -31,10 +32,12 @@ HjswyRun RunHjswy(graph::NodeId n, int T, const std::string& kind,
 
   options.T = T;
   util::Rng base(seed * 7919 + 13);
+  SketchPool pool(static_cast<std::size_t>(n),
+                  HjswyProgram::RequiredPoolColumns(options));
   std::vector<HjswyProgram> nodes;
   for (graph::NodeId u = 0; u < n; ++u) {
     nodes.emplace_back(u, static_cast<Value>((u * 7) % 53 - 20), options,
-                       base.Fork(static_cast<std::uint64_t>(u)));
+                       base.Fork(static_cast<std::uint64_t>(u)), &pool);
   }
   net::EngineOptions opts;
   opts.bandwidth = options.exact_census
@@ -157,7 +160,8 @@ TEST(Hjswy, StrictModeWaitsForHorizonCoveringN) {
 TEST(Hjswy, PhaseScheduleDoublesHorizons) {
   HjswyOptions options;
   util::Rng rng(1);
-  const HjswyProgram node(0, 0, options, rng.Fork(0));
+  SketchPool pool(1, HjswyProgram::RequiredPoolColumns(options));
+  const HjswyProgram node(0, 0, options, rng.Fork(0), &pool);
   std::int64_t last_horizon = 0;
   for (net::Round r = 1; r <= 5000; ++r) {
     const auto pos = node.Locate(r);
@@ -177,7 +181,8 @@ TEST(Hjswy, PhaseScheduleDoublesHorizons) {
 TEST(Hjswy, LocateFastMatchesLocate) {
   HjswyOptions options;
   util::Rng rng(1);
-  const HjswyProgram node(0, 0, options, rng.Fork(0));
+  SketchPool pool(1, HjswyProgram::RequiredPoolColumns(options));
+  const HjswyProgram node(0, 0, options, rng.Fork(0), &pool);
   const auto expect_same = [&node](net::Round r) {
     const auto slow = node.Locate(r);
     const auto fast = node.LocateFast(r);
@@ -199,7 +204,8 @@ TEST(Hjswy, LocateFastMatchesLocate) {
 TEST(Hjswy, BoundedMessageFitsLogBudget) {
   HjswyOptions options;
   util::Rng rng(2);
-  HjswyProgram node(0, 1234, options, rng.Fork(0));
+  SketchPool pool(1, HjswyProgram::RequiredPoolColumns(options));
+  HjswyProgram node(0, 1234, options, rng.Fork(0), &pool);
   const auto msg = node.OnSend(1);
   ASSERT_TRUE(msg.has_value());
   // Default knobs must fit 64·log2(16) = 256 bits so N >= 16 benches run.

@@ -1,21 +1,19 @@
-// Per-tier equivalence of the deliver-phase SIMD kernels (src/algo/kernels).
+// Per-tier equivalence of the deliver-phase SIMD kernel (src/algo/kernels).
 //
 // The dispatch contract is that every tier — scalar, SSE2, AVX2 — computes
-// bit-identical results on the kernels' declared domains, for every length
-// (vector body plus scalar tail). These tests force each tier the CPU
-// supports via SetIsa (the same switch the SDN_SIMD env var drives) and pin
-// the tiers against an inline reference, including the edge cases the wire
-// format actually produces: +inf bit patterns (0x7f800000, weight-zero
-// coordinates), ties (strict-less must not fire), values straddling the
-// sign bit (unsigned — not signed — min), and lengths that are not a
-// multiple of any lane width. The final test closes the loop end to end:
-// one full hjswy run per tier, RunStats bit-identical.
+// the exact unsigned min, for every length (vector body plus scalar tail).
+// These tests force each tier the CPU supports via SetIsa (the same switch
+// the SDN_SIMD env var drives) and pin the tiers against an inline
+// reference, including the edge cases the wire format actually produces:
+// +inf bit patterns (0x7f800000, weight-zero coordinates), values
+// straddling the sign bit (unsigned — not signed — min), and lengths that
+// are not a multiple of any lane width. The final test closes the loop end
+// to end: one full hjswy run per tier, RunStats bit-identical.
 #include "algo/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "core/api.hpp"
@@ -97,62 +95,14 @@ TEST_F(KernelsTest, MinU32IsUnsignedAcrossTheSignBit) {
   }
 }
 
-TEST_F(KernelsTest, LtMaskF64MatchesScalarReferenceOnEveryTier) {
-  util::Rng rng(776);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (const std::size_t len : kLengths) {
-    std::vector<double> vals(len);
-    std::vector<double> mins(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      // Nonnegative domain with deliberate ties (strict less must not
-      // fire) and +inf on both sides.
-      mins[i] = i % 6 == 0 ? kInf : static_cast<double>(rng() % 1000);
-      vals[i] = i % 4 == 0 ? mins[i]
-                           : (i % 9 == 0 ? kInf
-                                         : static_cast<double>(rng() % 1000));
-    }
-    std::uint64_t want = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      if (vals[i] < mins[i]) want |= std::uint64_t{1} << i;
-    }
-    for (const Isa isa : SupportedIsas()) {
-      SetIsa(isa);
-      const std::vector<double> vals_before = vals;
-      const std::vector<double> mins_before = mins;
-      EXPECT_EQ(LtMaskF64(vals.data(), mins.data(), len), want)
-          << ToString(isa) << " len=" << len;
-      // Pure read: no lane of either input may change.
-      EXPECT_EQ(vals, vals_before) << ToString(isa);
-      EXPECT_EQ(mins, mins_before) << ToString(isa);
-    }
-  }
-}
-
-TEST_F(KernelsTest, LtMaskF64TiesAndInfinities) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const double vals[] = {1.0, 2.0, kInf, kInf, 0.0};
-  const double mins[] = {1.0, kInf, kInf, 3.0, 0.5};
-  // bit set iff vals < mins: {no (tie), yes, no (tie), no, yes}.
-  for (const Isa isa : SupportedIsas()) {
-    SetIsa(isa);
-    EXPECT_EQ(LtMaskF64(vals, mins, 5), 0b10010u) << ToString(isa);
-  }
-}
-
-TEST_F(KernelsTest, LtMaskF64RejectsOversizedBlocks) {
-  const std::vector<double> zeros(65, 0.0);
-  EXPECT_THROW((void)LtMaskF64(zeros.data(), zeros.data(), 65),
-               util::CheckError);
-}
-
 TEST_F(KernelsTest, SetIsaRejectsUnsupportedTier) {
   if (BestSupportedIsa() == Isa::kAvx2) GTEST_SKIP() << "every tier supported";
   EXPECT_THROW(SetIsa(Isa::kAvx2), util::CheckError);
 }
 
 TEST_F(KernelsTest, EngineRunStatsIdenticalAcrossTiers) {
-  // End to end: one full hjswy workload per supported tier. The kernels sit
-  // on the deliver hot path (inbox reduction + sketch merge), so any
+  // End to end: one full hjswy workload per supported tier. The kernel sits
+  // on the deliver hot path (inbox reduction), so any
   // cross-tier divergence shows up in the sketches and hence in rounds /
   // messages / outputs. Everything except wall-clock timings must match.
   const auto run = [] {

@@ -421,20 +421,30 @@ TEST(AnomalyEngine, AuxLaneStallFiresAboveThreshold) {
   EXPECT_STREQ(engine.records().front().signal, "aux_lane_wait_ns");
 }
 
-TEST(AnomalyEngine, MemoryJumpBaselinesFirstSightThenFiresOnStep) {
-  AnomalyEngine engine(TightOptions(), nullptr, nullptr);
+TEST(AnomalyEngine, MemoryJumpFiresAboveHighWaterMarkAfterWarmup) {
+  AnomalyEngine engine(TightOptions(), nullptr, nullptr);  // min_samples 4
+  // Warm-up: a buffer sizing itself over its first samples is not a jump.
   const MemorySample first[] = {{"outbox", 1000}};
-  engine.Observe(Signals(1), first);  // first sight: baseline only
+  const MemorySample high[] = {{"outbox", 3000}};
+  engine.Observe(Signals(1), first);
+  for (std::int64_t r = 2; r <= 4; ++r) engine.Observe(Signals(r), high);
   EXPECT_EQ(engine.total_fired(), 0);
-  const MemorySample jump[] = {{"outbox", 5000}};
-  engine.Observe(Signals(2), jump);  // step 4000 > max(100, 0.5 x 1000)
+  // Armed now. A level oscillating below the high-water mark is healthy:
+  // 1000 -> 3000 is a step of 2000 > max(100, 0.5 x 1000), but it only
+  // returns to the peak.
+  engine.Observe(Signals(5), first);
+  engine.Observe(Signals(6), high);
+  EXPECT_EQ(engine.total_fired(), 0);
+  const MemorySample jump[] = {{"outbox", 9000}};
+  engine.Observe(Signals(7), jump);  // 9000 > 3000 + max(100, 0.5 x 3000)
   ASSERT_EQ(engine.records().size(), 1u);
   const AnomalyRecord& rec = engine.records().front();
   EXPECT_EQ(rec.rule, AnomalyRule::kMemoryJump);
-  EXPECT_EQ(rec.value, 5000);
+  EXPECT_EQ(rec.value, 9000);
+  EXPECT_EQ(rec.threshold, 4500);
   EXPECT_STREQ(rec.signal, "outbox");
-  const MemorySample settle[] = {{"outbox", 5050}};
-  engine.Observe(Signals(4), settle);  // small step, past cooldown: silent
+  const MemorySample settle[] = {{"outbox", 9050}};
+  engine.Observe(Signals(9), settle);  // small step, past cooldown: silent
   EXPECT_EQ(engine.total_fired(), 1);
 }
 
@@ -606,7 +616,7 @@ TEST(Manifest, FakeTimeEnvOverridesUtcTimestampAndRoundTrips) {
   EXPECT_NE(faked.ToJson().find("\"utc_time\":\"2026-01-02T03:04:05Z\""),
             std::string::npos);
   ASSERT_EQ(unsetenv("SDN_FAKE_TIME"), 0);
-  const std::string& real = *RunManifest::Collect().Find("utc_time");
+  const std::string real = *RunManifest::Collect().Find("utc_time");
   EXPECT_EQ(real.size(), 20u);  // back on the wall clock
   EXPECT_EQ(real.back(), 'Z');
 }

@@ -1,10 +1,8 @@
 // The million-node scaffolding: arena allocation, per-subsystem memory
-// accounting, the SoA sketch pool's bit-identicality pin, and streaming
-// topology at n=65536 (docs/PERF.md "Scale").
+// accounting, the SoA sketch pool's layout, and streaming topology at
+// n=65536 (docs/PERF.md "Scale").
 //
 // The load-bearing contracts:
-//   * pooled_sketches is a pure layout knob — RunStats identical to the
-//     per-node layout across algorithms × adversaries × thread counts;
 //   * RunStats::memory is deterministic (thread-count invariant) and only
 //     charges size-deterministic subsystems;
 //   * a streaming (TraceStreamReader-driven) replay of a recorded trace is
@@ -93,74 +91,6 @@ TEST(SketchPool, StoresFloat32ColumnMajor) {
   EXPECT_EQ(pool.Load(7, 0), 0.25f);
   // Untouched slots are zero.
   EXPECT_EQ(pool.Load(0, 0), 0.0f);
-}
-
-void ExpectIdenticalStats(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-  EXPECT_EQ(a.stats.all_decided, b.stats.all_decided);
-  EXPECT_EQ(a.stats.hit_max_rounds, b.stats.hit_max_rounds);
-  EXPECT_EQ(a.stats.first_decide_round, b.stats.first_decide_round);
-  EXPECT_EQ(a.stats.last_decide_round, b.stats.last_decide_round);
-  EXPECT_EQ(a.stats.decide_round, b.stats.decide_round);
-  EXPECT_EQ(a.stats.messages_sent, b.stats.messages_sent);
-  EXPECT_EQ(a.stats.sends_per_node, b.stats.sends_per_node);
-  EXPECT_EQ(a.stats.total_message_bits, b.stats.total_message_bits);
-  EXPECT_EQ(a.stats.max_message_bits, b.stats.max_message_bits);
-  EXPECT_EQ(a.stats.edges_processed, b.stats.edges_processed);
-  EXPECT_EQ(a.stats.messages_delivered, b.stats.messages_delivered);
-  EXPECT_EQ(a.count_exact, b.count_exact);
-  EXPECT_EQ(a.count_max_rel_error, b.count_max_rel_error);
-  EXPECT_EQ(a.max_correct, b.max_correct);
-  EXPECT_EQ(a.consensus_agreement, b.consensus_agreement);
-  EXPECT_EQ(a.consensus_valid, b.consensus_valid);
-}
-
-// The tentpole pin: the SoA float32 pool is a pure layout change. Every
-// statistic and every graded answer must be bit-identical to the per-node
-// vector layout, for each hjswy variant, on an oblivious and an adaptive
-// adversary, serial and parallel.
-TEST(SketchPoolPin, PooledLayoutIsBitIdenticalToPerNode) {
-  for (const Algorithm algorithm :
-       {Algorithm::kHjswyEstimate, Algorithm::kHjswyCensus,
-        Algorithm::kHjswyStrict}) {
-    for (const std::string adversary : {"spine-gnp", "adaptive-desc"}) {
-      for (const int threads : {1, 2}) {
-        RunConfig config;
-        config.n = 192;
-        config.T = 2;
-        config.seed = 12345;
-        config.adversary.kind = adversary;
-        config.max_rounds = 100'000;
-        config.threads = threads;
-
-        config.pooled_sketches = false;
-        const RunResult per_node = RunAlgorithm(algorithm, config);
-        config.pooled_sketches = true;
-        const RunResult pooled = RunAlgorithm(algorithm, config);
-        SCOPED_TRACE(std::string(ToString(algorithm)) + " on " + adversary +
-                     " threads=" + std::to_string(threads));
-        ExpectIdenticalStats(per_node, pooled);
-      }
-    }
-  }
-}
-
-// track_sum doubles the pool columns (two sketches per node); pin that
-// layout too.
-TEST(SketchPoolPin, TrackSumPooledLayoutIsBitIdentical) {
-  RunConfig config;
-  config.n = 96;
-  config.T = 2;
-  config.seed = 7;
-  config.adversary.kind = "spine-expander";
-  config.hjswy.track_sum = true;
-
-  config.pooled_sketches = false;
-  const RunResult per_node = RunAlgorithm(Algorithm::kHjswyEstimate, config);
-  config.pooled_sketches = true;
-  const RunResult pooled = RunAlgorithm(Algorithm::kHjswyEstimate, config);
-  ExpectIdenticalStats(per_node, pooled);
-  EXPECT_EQ(per_node.sum_max_rel_error, pooled.sum_max_rel_error);
 }
 
 // RunStats::memory reports the deterministic footprint breakdown: the
