@@ -36,10 +36,17 @@ void StableSpineAdversary::AdvanceToEra(std::int64_t era) {
     ++current_era_;
     has_previous_ = current_era_ >= 1;
     previous_spine_ = std::move(current_spine_);
-    util::Rng era_rng =
-        seed_rng_.Fork(static_cast<std::uint64_t>(current_era_) + 1);
-    current_spine_ = PooledSpineEdges(options_.spine, n_, era_rng);
+    // A held spine was drawn for exactly this era: the loop visits every
+    // era, so even a request that skips eras passes through it first.
+    current_spine_ = next_spine_ != nullptr ? std::move(next_spine_)
+                                            : DrawSpine(current_era_);
   }
+}
+
+std::shared_ptr<const std::vector<graph::Edge>>
+StableSpineAdversary::DrawSpine(std::int64_t era) {
+  util::Rng era_rng = seed_rng_.Fork(static_cast<std::uint64_t>(era) + 1);
+  return PooledSpineEdges(options_.spine, n_, era_rng);
 }
 
 graph::Graph StableSpineAdversary::SpineForRound(std::int64_t round) {
@@ -148,6 +155,13 @@ void StableSpineAdversary::BuildRoundEdges(std::int64_t round,
   }
   comp_.fresh = {fresh_edges_.data(), fresh_edges_.size()};
   comp_round_ = round;
+
+  // The era's last round draws the next era's spine (see the header): the
+  // spine generator then runs in this round's build, not in the boundary
+  // round's, which also unions the two spines.
+  if (offset == era_length_ - 1 && next_spine_ == nullptr) {
+    next_spine_ = DrawSpine(current_era_ + 1);
+  }
 }
 
 graph::Graph StableSpineAdversary::TopologyFor(std::int64_t round,

@@ -16,6 +16,12 @@
 //
 // Volatile edges change every round, so topologies genuinely differ
 // round-to-round even inside an era.
+//
+// Era-ahead draw: building the last round of era k also draws S_{k+1} and
+// holds it until era k+1 begins. Every spine is still drawn from its own
+// forked era rng, so the sequence is unchanged; the draw just moves out of
+// the era-boundary round — the one that also unions two spines — into the
+// plain round before it.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +70,10 @@ class StableSpineAdversary final : public net::Adversary {
       std::int64_t round) const override {
     return round == comp_round_ ? &comp_ : nullptr;
   }
-  /// Generator buffers: the two live spine-pool vectors, the cached era
-  /// overlap union, and the per-round assembly/volatile scratch. Pure
-  /// function of the round sequence (capacities only grow along it).
+  /// Generator buffers: the live spine-pool vectors (current, previous and
+  /// the next era's once drawn ahead), the cached era overlap union, and
+  /// the per-round assembly/volatile scratch. Pure function of the round
+  /// sequence (capacities only grow along it).
   [[nodiscard]] std::int64_t BufferBytes() const override {
     const auto vec = [](const auto& v) {
       using T = typename std::decay_t<decltype(v)>::value_type;
@@ -76,6 +83,7 @@ class StableSpineAdversary final : public net::Adversary {
                          vec(fresh_edges_) + vec(fresh_keys_);
     if (current_spine_ != nullptr) total += vec(*current_spine_);
     if (previous_spine_ != nullptr) total += vec(*previous_spine_);
+    if (next_spine_ != nullptr) total += vec(*next_spine_);
     return total;
   }
 
@@ -86,6 +94,9 @@ class StableSpineAdversary final : public net::Adversary {
 
  private:
   void AdvanceToEra(std::int64_t era);
+  /// Era `era`'s spine: PooledSpineEdges on the era's forked rng.
+  [[nodiscard]] std::shared_ptr<const std::vector<graph::Edge>> DrawSpine(
+      std::int64_t era);
   /// The sorted-unique union of the current and previous spines, built once
   /// per era (used by the first T-1 overlap rounds of that era).
   const std::vector<graph::Edge>& OverlapBase();
@@ -105,6 +116,9 @@ class StableSpineAdversary final : public net::Adversary {
   // spine CSR is never needed); null until the first AdvanceToEra.
   std::shared_ptr<const std::vector<graph::Edge>> current_spine_;
   std::shared_ptr<const std::vector<graph::Edge>> previous_spine_;
+  // Era current_era_ + 1's spine, drawn by the era's last round; null
+  // otherwise. AdvanceToEra moves it in as the next current spine.
+  std::shared_ptr<const std::vector<graph::Edge>> next_spine_;
   std::vector<graph::Edge> overlap_base_;    // cached cur ∪ prev of one era
   std::int64_t overlap_base_era_ = -1;
   std::vector<graph::Edge> round_edges_;  // DeltaFor's reused assembly buffer

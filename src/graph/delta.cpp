@@ -107,29 +107,16 @@ void CheckDeltaWellFormed(const TopologyDelta& delta, NodeId n) {
   }
 }
 
-DynGraph::DynGraph(NodeId n) : g_(n) { RebuildDegrees(); }
+DynGraph::DynGraph(NodeId n) : g_(n) {}
 
-DynGraph::DynGraph(Graph g) : g_(std::move(g)) { RebuildDegrees(); }
+DynGraph::DynGraph(Graph g) : g_(std::move(g)) {}
 
-void DynGraph::Reset(const Graph& g) {
-  g_ = g;
-  RebuildDegrees();
-}
+void DynGraph::Reset(const Graph& g) { g_ = g; }
 
-void DynGraph::Reset(NodeId n) {
-  g_ = Graph(n);
-  RebuildDegrees();
-}
+void DynGraph::Reset(NodeId n) { g_ = Graph(n); }
 
-void DynGraph::RebuildDegrees() {
-  const auto n = static_cast<std::size_t>(g_.num_nodes());
-  degrees_.resize(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    degrees_[u] = static_cast<NodeId>(g_.offsets_[u + 1] - g_.offsets_[u]);
-  }
-}
-
-const Graph& DynGraph::Apply(const TopologyDelta& delta) {
+const Graph& DynGraph::Apply(const TopologyDelta& delta,
+                             util::ThreadPool* pool) {
   if (delta.empty()) return g_;
   CheckDeltaWellFormed(delta, g_.num_nodes());
 
@@ -208,63 +195,22 @@ const Graph& DynGraph::Apply(const TopologyDelta& delta) {
   }
 
   g_.edges_.swap(scratch_edges_);
-  for (const Edge& e : delta.added) {
-    ++degrees_[static_cast<std::size_t>(e.u)];
-    ++degrees_[static_cast<std::size_t>(e.v)];
-  }
-  for (const Edge& e : delta.removed) {
-    --degrees_[static_cast<std::size_t>(e.u)];
-    --degrees_[static_cast<std::size_t>(e.v)];
-  }
-  RefillAdjacency();
+  csr_.Build(g_.n_, g_.edges_, g_.offsets_, g_.adjacency_, pool);
   return g_;
 }
 
-const Graph& DynGraph::CommitEdges() {
-  const NodeId n = g_.num_nodes();
+const Graph& DynGraph::CommitEdges(util::ThreadPool* pool) {
   if (VerifySortedEdges()) {
     for (std::size_t i = 1; i < scratch_edges_.size(); ++i) {
       SDN_CHECK_MSG(scratch_edges_[i - 1] < scratch_edges_[i],
                     "CommitEdges given an unsorted or duplicated edge list");
     }
   }
-  // The range check (always on — an out-of-range edge would corrupt the CSR
-  // fill) is fused into the degree count so the commit makes one pass over
-  // the list instead of two. A failed check leaves degrees_ partially
-  // counted, so Commit/Apply may not be retried after a CheckError; the
-  // graph view itself is untouched until the swap below.
-  std::fill(degrees_.begin(), degrees_.end(), 0);
-  for (const Edge& e : scratch_edges_) {
-    SDN_CHECK_MSG(e.u >= 0 && e.v < n, "edge (" << e.u << "," << e.v
-                                                << ") out of range for n=" << n);
-    ++degrees_[static_cast<std::size_t>(e.u)];
-    ++degrees_[static_cast<std::size_t>(e.v)];
-  }
+  // The fill range-checks every edge before it writes the view's CSR, so a
+  // rejected list leaves View() as it was; the edges swap in after.
+  csr_.Build(g_.n_, scratch_edges_, g_.offsets_, g_.adjacency_, pool);
   g_.edges_.swap(scratch_edges_);
-  RefillAdjacency();
   return g_;
-}
-
-void DynGraph::RefillAdjacency() {
-  const auto n = static_cast<std::size_t>(g_.num_nodes());
-  g_.offsets_.resize(n + 1);
-  g_.offsets_[0] = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    g_.offsets_[u + 1] = g_.offsets_[u] + degrees_[u];
-  }
-  g_.adjacency_.resize(g_.edges_.size() * 2);
-  // Same two ordered passes as Graph::BuildAdjacency (v-side entries first,
-  // then u-side) — every bucket comes out sorted with no per-bucket sort —
-  // but against the incrementally maintained degrees and a reused cursor.
-  cursor_.assign(g_.offsets_.begin(), g_.offsets_.end() - 1);
-  for (const Edge& e : g_.edges_) {
-    g_.adjacency_[static_cast<std::size_t>(
-        cursor_[static_cast<std::size_t>(e.v)]++)] = e.u;
-  }
-  for (const Edge& e : g_.edges_) {
-    g_.adjacency_[static_cast<std::size_t>(
-        cursor_[static_cast<std::size_t>(e.u)]++)] = e.v;
-  }
 }
 
 }  // namespace sdn::graph

@@ -67,12 +67,12 @@ void CheckDeltaWellFormed(const TopologyDelta& delta, NodeId n);
 /// application. `Apply` patches the sorted edge list with chunked copies
 /// (O(|Δ| log E) decision points plus the bytes moved) for sparse deltas and
 /// falls back to one linear merge pass when the delta is dense (lower_bound
-/// per flip would then cost more than the walk it skips), maintains per-node
-/// degrees in O(|Δ|), and refills the CSR adjacency of the view without any
-/// allocation in steady state; an empty delta returns the cached view in
-/// O(1). The returned reference stays valid (and its contents stable) until
-/// the next Apply/Reset — exactly the engine's "topology of the round being
-/// executed" lifetime.
+/// per flip would then cost more than the walk it skips), then refills the
+/// CSR adjacency of the view with a CsrBuilder — on every lane of `pool`
+/// when one is given, with identical bytes either way; an empty
+/// delta returns the cached view in O(1). The returned reference stays
+/// valid (and its contents stable) until the next Apply/Reset — exactly the
+/// engine's "topology of the round being executed" lifetime.
 class DynGraph {
  public:
   /// Empty graph on n isolated nodes.
@@ -88,7 +88,8 @@ class DynGraph {
   /// Applies `delta` in place and returns the updated view. CheckError on a
   /// contract violation (unsorted/overlapping lists, removing an absent
   /// edge, adding a present one); the graph is unchanged on failure.
-  const Graph& Apply(const TopologyDelta& delta);
+  const Graph& Apply(const TopologyDelta& delta,
+                     util::ThreadPool* pool = nullptr);
 
   /// Replaces the current topology wholesale (keyframe recovery / reuse
   /// across runs). Buffer capacity is retained.
@@ -103,31 +104,27 @@ class DynGraph {
   /// false) costs nothing.
   [[nodiscard]] std::vector<Edge>& EditBuffer() { return scratch_edges_; }
 
-  /// Swaps the filled EditBuffer in as the new topology and rebuilds
-  /// degrees + CSR adjacency (allocation-free in steady state). Edges are
-  /// always range-checked; the sorted/unique scan is gated on
+  /// Swaps the filled EditBuffer in as the new topology and rebuilds the
+  /// CSR adjacency, pooled like Apply. Edges are always range-checked — a
+  /// CheckError leaves View() untouched; the sorted/unique scan is gated on
   /// VerifySortedEdges() like the SortedEdges Graph constructor.
-  const Graph& CommitEdges();
+  const Graph& CommitEdges(util::ThreadPool* pool = nullptr);
 
-  /// Byte footprint of the maintenance scratch (degrees, edit double
-  /// buffer, CSR fill cursors) — the allocation the View() itself does not
-  /// show. Capacities only, a pure function of the applied delta stream;
-  /// surfaced by the engine as the "topology_scratch" memory gauge.
+  /// Byte footprint of the maintenance scratch (edit double buffer, CSR
+  /// fill cursors) — the allocation the View() itself does not show.
+  /// Capacities only, a pure function of the applied edge-count stream
+  /// (never of the pool); surfaced by the engine as the "topology_scratch"
+  /// memory gauge.
   [[nodiscard]] std::int64_t ScratchBytes() const {
-    return static_cast<std::int64_t>(
-        degrees_.capacity() * sizeof(NodeId) +
-        scratch_edges_.capacity() * sizeof(Edge) +
-        cursor_.capacity() * sizeof(std::int64_t));
+    return static_cast<std::int64_t>(scratch_edges_.capacity() *
+                                     sizeof(Edge)) +
+           csr_.ScratchBytes();
   }
 
  private:
-  void RebuildDegrees();
-  void RefillAdjacency();
-
   Graph g_;
-  std::vector<NodeId> degrees_;         // maintained incrementally by Apply
-  std::vector<Edge> scratch_edges_;     // double buffer for the merge pass
-  std::vector<std::int64_t> cursor_;    // CSR fill scratch
+  std::vector<Edge> scratch_edges_;  // double buffer for the merge pass
+  CsrBuilder csr_;                   // CSR fill cursors
 };
 
 }  // namespace sdn::graph

@@ -12,6 +12,10 @@
 
 #include "util/check.hpp"
 
+namespace sdn::util {
+class ThreadPool;
+}  // namespace sdn::util
+
 namespace sdn::graph {
 
 using NodeId = std::int32_t;
@@ -39,6 +43,45 @@ struct Edge {
 void SetVerifySortedEdges(bool on);
 [[nodiscard]] bool VerifySortedEdges();
 
+/// The one CSR fill behind Graph and DynGraph: a stable counting sort of
+/// the 2|E| edge endpoints into per-node buckets. The edge list is cut into
+/// Chunks(|E|) contiguous chunks; each chunk counts its endpoints into its
+/// own row of fill cursors, a prefix over (node, chunk) turns the rows into
+/// start cursors, and each chunk then scatters its edges, v-side entries
+/// first, then u-side. For a (u,v)-sorted list every bucket comes out
+/// sorted, and the bytes are the same with or without a pool at any lane
+/// count, because the chunk boundaries depend on |E| alone. With a pool the
+/// chunks run on every lane; without one they run inline in chunk order.
+class CsrBuilder {
+ public:
+  /// A list of at most this many edges is one chunk (the serial fill).
+  static constexpr std::int64_t kChunkEdges = std::int64_t{1} << 16;
+  /// Chunk cap: each chunk owns num_nodes fill cursors.
+  static constexpr int kMaxChunks = 8;
+
+  /// ceil(edges / kChunkEdges) clamped to [1, kMaxChunks].
+  [[nodiscard]] static int Chunks(std::int64_t edges);
+
+  /// Fills `offsets` (n+1 entries) and `adjacency` (2·|edges|) for the
+  /// sorted edge list `edges` on nodes [0, n). Every edge is range-checked
+  /// (CheckError) before either output is written, so a rejected list
+  /// leaves both untouched. The inline (pool-less) fill allocates nothing
+  /// once the buffers have grown.
+  void Build(NodeId n, std::span<const Edge> edges,
+             std::vector<std::int64_t>& offsets,
+             std::vector<NodeId>& adjacency, util::ThreadPool* pool);
+
+  /// Capacity of the fill cursors: Chunks(|E|)·n entries at the largest
+  /// list built so far, a function of the edge counts only.
+  [[nodiscard]] std::int64_t ScratchBytes() const {
+    return static_cast<std::int64_t>(cursor_.capacity() *
+                                     sizeof(std::int64_t));
+  }
+
+ private:
+  std::vector<std::int64_t> cursor_;  // chunk-major rows of n fill cursors
+};
+
 class Graph {
  public:
   /// Tag for the pre-sorted constructor overload.
@@ -48,7 +91,7 @@ class Graph {
   explicit Graph(NodeId n = 0);
 
   /// Graph on n nodes with the given edges; duplicates are collapsed and
-  /// self-loops rejected (CheckError).
+  /// self-loops and out-of-range edges rejected (CheckError).
   Graph(NodeId n, std::span<const Edge> edges);
 
   /// Hot-path constructor: takes ownership of an already-sorted edge list

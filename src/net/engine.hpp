@@ -143,9 +143,12 @@ struct EngineOptions {
   /// round 1 underestimates d on adversaries that degrade over time).
   int flood_probes = 4;
   std::uint64_t probe_seed = 0x5eedULL;
-  /// Engine-internal parallelism for the send/deliver phases: 0 = hardware
-  /// concurrency, 1 = strictly serial, k = up to k lanes of the shared
-  /// work-stealing pool. Results are bit-identical at any setting (only
+  /// Engine-internal parallelism for the send/deliver phases and the
+  /// topology's CSR fill: 0 = hardware concurrency, 1 = strictly serial,
+  /// k > 1 = run them on the shared work-stealing pool, with the shards
+  /// pre-split into k lane blocks. k is not a thread cap: every idle pool
+  /// worker joins and steals (ThreadPool::ParallelFor), so any k > 1 can
+  /// use every pool thread. Results are bit-identical at any setting (only
   /// RunStats::timings, which measure wall clock, differ), so this is a
   /// pure throughput knob. Small n runs serial regardless (sharding floor).
   int threads = 0;
@@ -318,11 +321,13 @@ class Engine final : private AdversaryView {
           has_delta = true;
         }
       }
+      // The CSR fill runs on the send/deliver pool (every lane joins right
+      // after the prefetch join) and is byte-identical to the serial fill.
       if (assigned) {
-        topo_.CommitEdges();
+        topo_.CommitEdges(pool_);
         ++topo_direct_rounds_;
       } else {
-        topo_.Apply(delta_);  // CheckError on a contract-violating delta
+        topo_.Apply(delta_, pool_);  // CheckError on a contract-violating delta
         ++topo_delta_rounds_;
       }
       // Whatever sub-path ran, every delta consumer must have a delta for

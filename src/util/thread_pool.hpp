@@ -142,8 +142,10 @@ class ThreadPool {
 
   /// Splits [0, n) into `shards` near-equal contiguous ranges
   /// ([n*s/shards, n*(s+1)/shards)) and invokes fn once per non-empty
-  /// shard, using up to `max_lanes` concurrent lanes (clamped to lanes()
-  /// and to `shards`; <= 1 runs every shard inline on the caller).
+  /// shard. `max_lanes` (clamped to lanes() and to `shards`) is the number
+  /// of owner blocks the shards are pre-split into, not a thread cap: <= 1
+  /// runs every shard inline on the caller, and above that every idle pool
+  /// worker joins the call and steals, so up to lanes() threads run shards.
   /// Blocks until every shard completed. If any fn invocation throws, the
   /// first exception (in completion order) is rethrown after all running
   /// shards finish; remaining unclaimed shards still execute.

@@ -95,53 +95,92 @@ TEST(SketchPool, StoresFloat32ColumnMajor) {
 
 // RunStats::memory reports the deterministic footprint breakdown: the
 // engine-owned subsystems always, the sketch pool when a shared budget is
-// wired through RunConfig, and the identical bytes at any thread count.
+// wired through RunConfig, and the identical bytes, with identical core
+// RunStats, at threads 1, 2 and hardware. The second input, spine-gnp at
+// n=8192 (~74k edges in a plain round, ~148k at an era boundary), is above
+// CsrBuilder::kChunkEdges, so its topology fill is chunked and runs on the
+// pool; the chunk count, and with it the topology_scratch gauge, follows
+// the edge count alone.
 TEST(MemoryAccounting, RunStatsMemoryIsPopulatedAndThreadInvariant) {
-  util::MemoryBudget budget;
+  struct Input {
+    graph::NodeId n;
+    std::int64_t max_rounds;
+  };
+  for (const Input input :
+       {Input{192, RunConfig{}.max_rounds}, Input{8192, 6}}) {
+    SCOPED_TRACE("n=" + std::to_string(input.n));
+    util::MemoryBudget budget;
+    RunConfig config;
+    config.n = input.n;
+    config.T = 2;
+    config.seed = 3;
+    config.adversary.kind = "spine-gnp";
+    config.max_rounds = input.max_rounds;
+    config.threads = 1;
+    config.memory_budget = &budget;
+    const RunResult serial = RunAlgorithm(Algorithm::kHjswyEstimate, config);
+
+    bool saw_pool = false;
+    for (const net::MemoryUse& m : serial.stats.memory) {
+      if (m.subsystem == "sketch_pool") {
+        saw_pool = true;
+        // n rows × (count + sum columns reserved only when track_sum) × f32.
+        EXPECT_EQ(m.peak_bytes, std::int64_t{input.n} * 64 * 4);
+      }
+    }
+    EXPECT_TRUE(saw_pool);
+    for (const char* subsystem : {"outbox", "programs", "topology"}) {
+      bool found = false;
+      for (const net::MemoryUse& m : serial.stats.memory) {
+        if (m.subsystem == subsystem) {
+          found = true;
+          EXPECT_GT(m.peak_bytes, 0) << subsystem;
+        }
+      }
+      EXPECT_TRUE(found) << subsystem;
+    }
+    ASSERT_GT(serial.stats.rounds, 0);
+    if (input.n == 8192) {
+      EXPECT_GT(serial.stats.edges_processed / serial.stats.rounds,
+                graph::CsrBuilder::kChunkEdges);
+    }
+
+    for (const int threads : {2, 0}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      util::MemoryBudget parallel_budget;
+      config.memory_budget = &parallel_budget;
+      config.threads = threads;
+      const net::RunStats parallel =
+          RunAlgorithm(Algorithm::kHjswyEstimate, config).stats;
+      EXPECT_EQ(serial.stats.rounds, parallel.rounds);
+      EXPECT_EQ(serial.stats.all_decided, parallel.all_decided);
+      EXPECT_EQ(serial.stats.decide_round, parallel.decide_round);
+      EXPECT_EQ(serial.stats.messages_sent, parallel.messages_sent);
+      EXPECT_EQ(serial.stats.total_message_bits, parallel.total_message_bits);
+      EXPECT_EQ(serial.stats.max_message_bits, parallel.max_message_bits);
+      EXPECT_EQ(serial.stats.edges_processed, parallel.edges_processed);
+      EXPECT_EQ(serial.stats.messages_delivered, parallel.messages_delivered);
+      EXPECT_EQ(serial.stats.flooding.completed, parallel.flooding.completed);
+      EXPECT_EQ(serial.stats.flooding.max_rounds, parallel.flooding.max_rounds);
+      EXPECT_EQ(serial.stats.tinterval_ok, parallel.tinterval_ok);
+      EXPECT_EQ(serial.stats.certified_T, parallel.certified_T);
+      ASSERT_EQ(serial.stats.memory.size(), parallel.memory.size());
+      for (std::size_t i = 0; i < serial.stats.memory.size(); ++i) {
+        const net::MemoryUse& a = serial.stats.memory[i];
+        const net::MemoryUse& b = parallel.memory[i];
+        EXPECT_EQ(a.subsystem, b.subsystem);
+        EXPECT_EQ(a.current_bytes, b.current_bytes) << a.subsystem;
+        EXPECT_EQ(a.peak_bytes, b.peak_bytes) << a.subsystem;
+      }
+    }
+  }
+  // The engine-internal budget (no RunConfig::memory_budget) still reports
+  // the engine subsystems.
   RunConfig config;
   config.n = 192;
   config.T = 2;
   config.seed = 3;
   config.adversary.kind = "spine-gnp";
-  config.threads = 1;
-  config.memory_budget = &budget;
-  const RunResult serial = RunAlgorithm(Algorithm::kHjswyEstimate, config);
-
-  bool saw_pool = false;
-  for (const net::MemoryUse& m : serial.stats.memory) {
-    if (m.subsystem == "sketch_pool") {
-      saw_pool = true;
-      // n rows × (count + sum columns reserved only when track_sum) × f32.
-      EXPECT_EQ(m.peak_bytes, 192 * 64 * 4);
-    }
-  }
-  EXPECT_TRUE(saw_pool);
-  for (const char* subsystem : {"outbox", "programs", "topology"}) {
-    bool found = false;
-    for (const net::MemoryUse& m : serial.stats.memory) {
-      if (m.subsystem == subsystem) {
-        found = true;
-        EXPECT_GT(m.peak_bytes, 0) << subsystem;
-      }
-    }
-    EXPECT_TRUE(found) << subsystem;
-  }
-
-  util::MemoryBudget budget2;
-  config.memory_budget = &budget2;
-  config.threads = 2;
-  const RunResult parallel = RunAlgorithm(Algorithm::kHjswyEstimate, config);
-  ASSERT_EQ(serial.stats.memory.size(), parallel.stats.memory.size());
-  for (std::size_t i = 0; i < serial.stats.memory.size(); ++i) {
-    EXPECT_EQ(serial.stats.memory[i].subsystem,
-              parallel.stats.memory[i].subsystem);
-    EXPECT_EQ(serial.stats.memory[i].peak_bytes,
-              parallel.stats.memory[i].peak_bytes)
-        << serial.stats.memory[i].subsystem;
-  }
-  // The engine-internal budget (no RunConfig::memory_budget) still reports
-  // the engine subsystems.
-  config.memory_budget = nullptr;
   config.threads = 1;
   const RunResult internal = RunAlgorithm(Algorithm::kHjswyEstimate, config);
   EXPECT_FALSE(internal.stats.memory.empty());

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <tuple>
+#include <vector>
 
+#include "adversary/stable_spine.hpp"
 #include "graph/algorithms.hpp"
+#include "net/adversary.hpp"
 #include "util/rng.hpp"
 
 namespace sdn::adversary {
@@ -99,6 +105,109 @@ TEST(Spine, NamesAreDescriptive) {
   cliques.kind = SpineKind::kPathOfCliques;
   cliques.clique_size = 4;
   EXPECT_EQ(cliques.Name(), "cliques(m=4)");
+}
+
+class ZeroView final : public net::AdversaryView {
+ public:
+  explicit ZeroView(graph::NodeId n) : n_(n) {}
+  [[nodiscard]] std::int64_t round() const override { return 1; }
+  [[nodiscard]] double PublicState(graph::NodeId) const override { return 0; }
+  [[nodiscard]] graph::NodeId num_nodes() const override { return n_; }
+
+ private:
+  graph::NodeId n_;
+};
+
+/// Era-ahead draw: the stable-spine adversary draws era k+1's spine while
+/// it builds era k's last round. Every round's core must still be its era's
+/// spine from the era's own forked rng, one buffer for the whole era —
+/// also when the requested rounds skip eras — and the overlap support the
+/// previous era's.
+TEST(StableSpine, EraAheadDrawKeepsEachEraSpineAndItsBuffer) {
+  const graph::NodeId n = 96;
+  const std::uint64_t seed = 77;
+  SpineSpec spec;
+  spec.kind = SpineKind::kGnp;
+  const ZeroView view(n);
+  const auto spine_of = [&](std::int64_t era) {
+    util::Rng rng = util::Rng(seed).Fork(static_cast<std::uint64_t>(era) + 1);
+    return MakeSpineEdges(spec, n, rng);
+  };
+  for (const int T : {1, 2, 3}) {
+    for (const std::int64_t era_option : {std::int64_t{0}, std::int64_t{T} + 2}) {
+      const std::int64_t era_len = era_option > 0 ? era_option : T;
+      std::set<std::int64_t> dense;
+      for (std::int64_t r = 1; r <= 6 * era_len; ++r) dense.insert(r);
+      // Skips: from an era's first round past a whole era, and from an
+      // era's last round (a spine held ahead) past two.
+      const std::set<std::int64_t> skipping = {
+          1, 2 * era_len + 1, 3 * era_len, 6 * era_len + 1, 6 * era_len + T};
+      for (const auto& rounds : {dense, skipping}) {
+        SCOPED_TRACE("T=" + std::to_string(T) + " era=" +
+                     std::to_string(era_len) +
+                     (rounds.size() == dense.size() ? " dense" : " skipping"));
+        StableSpineOptions options;
+        options.spine = spec;
+        options.era_length = era_option;
+        options.volatile_edges = 5;
+        StableSpineAdversary adversary(n, T, options, seed);
+        std::map<std::int64_t, const graph::Edge*> era_buffer;
+        std::vector<graph::Edge> edges;
+        for (const std::int64_t r : rounds) {
+          ASSERT_TRUE(adversary.RoundEdgesInto(r, view, edges));
+          const graph::RoundComposition* comp = adversary.Composition(r);
+          ASSERT_NE(comp, nullptr);
+          const std::int64_t era = (r - 1) / era_len;
+          const std::vector<graph::Edge> expected = spine_of(era);
+          EXPECT_EQ(comp->core_id, static_cast<std::uint64_t>(era));
+          ASSERT_TRUE(std::equal(comp->core.begin(), comp->core.end(),
+                                 expected.begin(), expected.end()))
+              << "round " << r;
+          const auto [it, first] = era_buffer.emplace(era, comp->core.data());
+          EXPECT_TRUE(first || it->second == comp->core.data())
+              << "era " << era << " changed buffer at round " << r;
+          if ((r - 1) % era_len < T - 1 && era >= 1) {
+            const std::vector<graph::Edge> previous = spine_of(era - 1);
+            EXPECT_TRUE(std::equal(comp->support.begin(), comp->support.end(),
+                                   previous.begin(), previous.end()))
+                << "round " << r;
+          } else {
+            EXPECT_TRUE(comp->support.empty()) << "round " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The spine held for the next era is charged to BufferBytes: between two
+/// plain rounds of one era only the era's last round adds a buffer, exactly
+/// the next era's spine.
+TEST(StableSpine, BufferBytesCountsTheSpineHeldForTheNextEra) {
+  const graph::NodeId n = 96;
+  const ZeroView view(n);
+  for (const int T : {1, 2, 3}) {
+    StableSpineOptions options;
+    options.spine.kind = SpineKind::kGnp;
+    options.era_length = T + 2;
+    options.volatile_edges = 5;
+    StableSpineAdversary adversary(n, T, options, 78);
+    std::vector<graph::Edge> edges;
+    // Era 1 runs rounds T+3 .. 2T+4; its last two rounds are both plain.
+    const std::int64_t last = 2 * (T + 2);
+    for (std::int64_t r = 1; r < last; ++r) {
+      ASSERT_TRUE(adversary.RoundEdgesInto(r, view, edges));
+    }
+    const std::int64_t before = adversary.BufferBytes();
+    ASSERT_TRUE(adversary.RoundEdgesInto(last, view, edges));
+    const std::int64_t held = adversary.BufferBytes() - before;
+    ASSERT_TRUE(adversary.RoundEdgesInto(last + 1, view, edges));
+    const auto& next = adversary.Composition(last + 1)->core_owner;
+    EXPECT_EQ(held, static_cast<std::int64_t>(next->capacity() *
+                                              sizeof(graph::Edge)))
+        << "T=" << T;
+    EXPECT_GT(held, 0);
+  }
 }
 
 }  // namespace
