@@ -175,7 +175,7 @@ BENCHMARK(BM_TIntervalValidation)->Arg(256)->Arg(2048);
 /// differs) — bit-identical again, same pin.
 net::RunStats TimedReferenceRun(
     int threads, bool incremental = true,
-    net::DeliveryMode delivery = net::DeliveryMode::kAdaptive,
+    net::DeliveryMode delivery = net::DeliveryMode::kDense,
     obs::FlightRecorder* recorder = nullptr, bool validate = true,
     bool overlaps = true, bool collect_metrics = false,
     bool anomaly = false,
@@ -312,9 +312,9 @@ void ReportEngineTimings() {
   };
 
   // Topology A/B: the identical serial workload on the legacy from-scratch
-  // path vs the churn-adaptive incremental path (every other phase
-  // untouched, so topology_ns is the whole difference; RunStats agree bit
-  // for bit). Interleaved pairs, compared by medians — see PairedAB.
+  // path vs the incremental path (every other phase untouched, so
+  // topology_ns is the whole difference; RunStats agree bit for bit).
+  // Interleaved pairs, compared by medians — see PairedAB.
   const ABResult topo = PairedAB(
       [] { return TimedReferenceRun(/*threads=*/1, /*incremental=*/false); },
       [] { return TimedReferenceRun(/*threads=*/1, /*incremental=*/true); },
@@ -326,9 +326,9 @@ void ReportEngineTimings() {
       static_cast<long long>(topo.b.timings.topology_ns), topo.speedup);
 
   // Message-path A/B: the identical serial workload forced onto the legacy
-  // per-receiver pointer gather vs the measured adaptive backing the engine
-  // ships with (RunStats agree bit for bit; send+deliver is the whole
-  // difference). Interleaved pairs, compared by medians.
+  // per-receiver pointer gather vs the dense backing the engine ships with
+  // (RunStats agree bit for bit; send+deliver is the whole difference).
+  // Interleaved pairs, compared by medians.
   const ABResult msg = PairedAB(
       [] {
         return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
@@ -336,13 +336,13 @@ void ReportEngineTimings() {
       },
       [] {
         return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive);
+                                 net::DeliveryMode::kDense);
       },
       message_path_ns);
   const double message_path_speedup = msg.speedup;
   std::printf(
       "message path A/B (serial, paired medians): gather send+deliver=%lld ns"
-      "  adaptive send+deliver=%lld ns  speedup=%.2fx\n",
+      "  dense send+deliver=%lld ns  speedup=%.2fx\n",
       static_cast<long long>(message_path_ns(msg.a)),
       static_cast<long long>(message_path_ns(msg.b)), message_path_speedup);
 
@@ -363,7 +363,7 @@ void ReportEngineTimings() {
     auto rec = std::make_unique<obs::FlightRecorder>();
     const net::RunStats s =
         TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                          net::DeliveryMode::kAdaptive, rec.get());
+                          net::DeliveryMode::kDense, rec.get());
     if (traced_rec == nullptr || message_path_ns(s) < message_path_ns(traced)) {
       traced = s;
       traced_rec = std::move(rec);
@@ -380,7 +380,7 @@ void ReportEngineTimings() {
 
   // Certification A/B: the identical serial workload with the streaming
   // T-interval checker off vs on (everything else fixed: incremental,
-  // adaptive delivery, no recorder). The validated arm rides the
+  // dense delivery, no recorder). The validated arm rides the
   // adversary's composition claim — spine witnesses certify windows, no
   // per-round delta — so the whole-run overhead is the honest price of
   // always-on certification. Interleaved pairs, compared by medians of
@@ -392,12 +392,12 @@ void ReportEngineTimings() {
   const ABResult cert = PairedAB(
       [] {
         return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
+                                 net::DeliveryMode::kDense, nullptr,
                                  /*validate=*/false);
       },
       [] {
         return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
+                                 net::DeliveryMode::kDense, nullptr,
                                  /*validate=*/true);
       },
       run_total_ns);
@@ -509,12 +509,12 @@ void ReportEngineTimings() {
   const ABResult pipe = PairedAB(
       [] {
         return TimedReferenceRun(/*threads=*/2, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
+                                 net::DeliveryMode::kDense, nullptr,
                                  /*validate=*/true, /*overlaps=*/false);
       },
       [] {
         return TimedReferenceRun(/*threads=*/2, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
+                                 net::DeliveryMode::kDense, nullptr,
                                  /*validate=*/true, /*overlaps=*/true);
       },
       run_total_ns);
@@ -544,14 +544,14 @@ void ReportEngineTimings() {
   const ABResult anom = PairedAB(
       [] {
         return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
+                                 net::DeliveryMode::kDense, nullptr,
                                  /*validate=*/true, /*overlaps=*/true,
                                  /*collect_metrics=*/true,
                                  /*anomaly=*/false);
       },
       [] {
         return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
+                                 net::DeliveryMode::kDense, nullptr,
                                  /*validate=*/true, /*overlaps=*/true,
                                  /*collect_metrics=*/true,
                                  /*anomaly=*/true);
@@ -600,9 +600,9 @@ void ReportEngineTimings() {
                "  \"topology_incremental_ns\": %lld,\n"
                "  \"topology_speedup\": %.2f,\n"
                "  \"send_gather_ns\": %lld,\n"
-               "  \"send_adaptive_ns\": %lld,\n"
+               "  \"send_dense_ns\": %lld,\n"
                "  \"deliver_gather_ns\": %lld,\n"
-               "  \"deliver_adaptive_ns\": %lld,\n"
+               "  \"deliver_dense_ns\": %lld,\n"
                "  \"message_path_speedup\": %.2f,\n"
                "  \"untraced_send_plus_deliver_ns\": %lld,\n"
                "  \"traced_send_plus_deliver_ns\": %lld,\n"
@@ -715,7 +715,7 @@ int FaultSmoke(const std::string& dump_dir) {
   // fire the drop-onset rule and break the exactly-one assertion.
   obs::FlightRecorder recorder(/*lanes=*/1, /*lane_capacity=*/1 << 20);
   const net::RunStats stats = TimedReferenceRun(
-      /*threads=*/1, /*incremental=*/true, net::DeliveryMode::kAdaptive,
+      /*threads=*/1, /*incremental=*/true, net::DeliveryMode::kDense,
       &recorder, /*validate=*/true, /*overlaps=*/true,
       /*collect_metrics=*/true, /*anomaly=*/true, &aopts);
 

@@ -45,10 +45,10 @@ std::int64_t PeakRssBytes() {
   return static_cast<std::int64_t>(usage.ru_maxrss) * 1024;  // KB on Linux
 }
 
-/// Round cap for the throughput measurement: enough rounds for the adaptive
-/// delivery arm to settle (warmup 3 + reprobes) at every n, small enough
-/// that the 2^20 row finishes in minutes on one core. Small n runs long
-/// enough to be timer-stable; decided runs end early on their own.
+/// Round cap for the throughput measurement: at least 16 rounds (eight
+/// T = 2 eras, so every n mixes era-boundary and plain rounds), and small
+/// enough that the 2^20 row finishes in minutes on one core. Small n runs long enough to be
+/// timer-stable; decided runs end early on their own.
 std::int64_t RoundCap(graph::NodeId n, std::int64_t override_cap) {
   if (override_cap > 0) return override_cap;
   return std::clamp<std::int64_t>((std::int64_t{1} << 21) / n, 16, 256);

@@ -16,9 +16,9 @@
 #include "algo/census.hpp"
 #include "algo/common.hpp"
 #include "algo/hjswy.hpp"
-#include "net/backing.hpp"
 #include "net/bandwidth.hpp"
 #include "net/metrics.hpp"
+#include "net/program.hpp"
 #include "obs/anomaly.hpp"
 #include "obs/recorder.hpp"
 #include "util/arena.hpp"
@@ -78,15 +78,17 @@ struct RunConfig {
   /// adversary emits round-over-round deltas into one in-place DynGraph.
   /// Bit-identical results either way; off = legacy from-scratch path.
   bool incremental_topology = true;
-  /// Inbox backing policy for all-sender rounds (net::DeliveryMode):
-  /// kAdaptive (default) picks dense CSR indexing vs the pointer gather
-  /// per round from measured cost with hysteresis; kDense / kGather force
-  /// one arm for A/B runs. Bit-identical results in every mode.
-  net::DeliveryMode delivery = net::DeliveryMode::kAdaptive;
+  /// Inbox backing for all-sender rounds (net::DeliveryMode): kDense
+  /// (default) indexes the outbox through the CSR neighbor span, kGather
+  /// forces the pointer gather for A/B runs. Bit-identical results in
+  /// both modes.
+  net::DeliveryMode delivery = net::DeliveryMode::kDense;
   /// Engine-internal parallelism (EngineOptions::threads): 0 = hardware,
-  /// 1 = strictly serial, k = up to k lanes. Results are bit-identical at
-  /// any setting; RunTrials additionally budgets this against its outer
-  /// trial workers when left at 0 (auto), so sweeps don't oversubscribe.
+  /// 1 = strictly serial, k > 1 = the shared pool with the shards pre-split
+  /// into k lane blocks (not a thread cap: idle pool workers steal).
+  /// Results are bit-identical at any setting; RunTrials additionally
+  /// budgets this against its outer trial workers when left at 0 (auto),
+  /// so sweeps don't oversubscribe.
   int threads = 0;
   /// Pipeline overlaps (EngineOptions::{prefetch_topology,
   /// async_certification, fused_send_deliver}): compute the next round's

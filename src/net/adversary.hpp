@@ -63,15 +63,15 @@ class Adversary {
   /// Fastest path: write round `round`'s complete topology as a sorted,
   /// duplicate-free edge list into `out` and return true, or return false
   /// (the default) to make the engine fall back to DeltaFor. The engine
-  /// uses this only when nothing in the run consumes deltas (no streaming
-  /// T-interval validation, no trace recording): materializing a delta that
-  /// nobody reads costs a diff pass per round, which for high-churn
-  /// adversaries (short eras) rivals the topology build itself. `out`
-  /// arrives with unspecified contents (a reused buffer) and on a false
-  /// return may be left in any state. The same sequencing rules as DeltaFor
-  /// apply: strictly sequential rounds, one mode per run, and overrides
-  /// must consume the identical RNG stream as TopologyFor so all three
-  /// paths produce bit-identical topology sequences.
+  /// calls this every round until the first false return, which pins
+  /// DeltaFor for the rest of the run; when something consumes deltas (the
+  /// delta-driven T-interval checker, trace recording) the engine derives
+  /// the delta itself with one DiffSorted. `out` arrives with unspecified
+  /// contents (a reused buffer) and on a false return may be left in any
+  /// state. The same sequencing rules as DeltaFor apply: strictly
+  /// sequential rounds, one mode per run, and overrides must consume the
+  /// identical RNG stream as TopologyFor so all three paths produce
+  /// bit-identical topology sequences.
   virtual bool RoundEdgesInto(std::int64_t round, const AdversaryView& view,
                               std::vector<graph::Edge>& out);
 

@@ -25,28 +25,24 @@
 // receiver's Inbox can be the topology's own CSR neighbor-id span indexing
 // the outbox directly — no per-receiver gather at all; rounds with silent
 // nodes use the sparse path, an Inbox of pointers gathered from the flagged
-// slots. Which backing an all-sent round actually uses is decided by
-// EngineOptions::delivery: kAdaptive (default) runs an ArmSelector
-// (net/backing.hpp) on measured per-message deliver cost with hysteresis,
-// so dense indexing is only chosen while it measures cheaper; kDense and
-// kGather force one arm for A/B runs. Both paths software-prefetch each
-// receiver's message cache lines ahead of its OnReceive (the outbox reads
-// are data-dependent scatters the hardware prefetcher cannot predict).
-// Results are bit-identical across backings (pinned by tests); every phase
-// of Step() is wall-clocked into RunStats::timings.
+// slots. EngineOptions::delivery = kGather forces the sparse path on every
+// round. Both paths software-prefetch each receiver's message cache lines
+// ahead of its OnReceive (the outbox reads are data-dependent scatters the
+// hardware prefetcher cannot predict). Results are bit-identical across
+// backings (pinned by tests); every phase of Step() is wall-clocked into
+// RunStats::timings.
 //
-// Topology is delta-driven by default (EngineOptions::incremental_topology):
-// the engine asks the adversary for the round-over-round TopologyDelta and
-// applies it to one in-place DynGraph instead of materializing a fresh Graph
-// per round; the streaming T-interval checker consumes the same delta. When
-// per-round churn (EWMA of |delta| / |E|, hysteresis band below) is high
-// enough that patching loses to rebuilding, the engine flips to the
-// direct-assignment path — RoundEdgesInto straight into the DynGraph's edit
-// buffer — and derives the delta consumers still need with one DiffSorted;
-// a checker or trace recorder therefore sees every round's delta on either
-// sub-path (asserted). The produced topology sequence, and therefore
-// RunStats, is bit-identical to the from-scratch path (the DeltaFor
-// contract in net/adversary.hpp), which stays available for A/B testing.
+// Topology is incremental by default (EngineOptions::incremental_topology):
+// one in-place DynGraph holds the live round instead of a fresh Graph per
+// round. The adversary writes each round's whole edge list straight into
+// the DynGraph's edit buffer (RoundEdgesInto) whenever it supports that,
+// and the engine derives the delta with one DiffSorted only when a
+// consumer (the delta-driven checker, a trace recorder) needs it. An
+// adversary without RoundEdgesInto emits the TopologyDelta itself
+// (DeltaFor) and the DynGraph applies it. The produced topology sequence,
+// and therefore RunStats, is bit-identical to the from-scratch path (the
+// DeltaFor contract in net/adversary.hpp), which stays available for A/B
+// testing.
 //
 // Parallel execution (EngineOptions::threads): the send and deliver phases
 // are embarrassingly parallel over nodes — OnSend(u) touches only node u and
@@ -97,7 +93,6 @@
 #include "graph/delta.hpp"
 #include "graph/tinterval.hpp"
 #include "net/adversary.hpp"
-#include "net/backing.hpp"
 #include "net/bandwidth.hpp"
 #include "net/metrics.hpp"
 #include "net/program.hpp"
@@ -125,15 +120,6 @@ struct EngineOptions {
   /// bandwidth violation. Off by default: the checker keeps streaming and
   /// the verdict lands in RunStats at the end.
   bool fail_fast_on_tinterval = false;
-  /// Let the checker use the adversary's Composition() certification fast
-  /// path when available (no per-round delta materialized; windows are
-  /// certified by pinned-set witnesses). Forced off automatically whenever
-  /// something needs the delta-driven checker instead: a flight recorder
-  /// (whose kCheckerWindow track reads stable_edge_count), a trace
-  /// recorder (deltas exist anyway), or from-scratch topology mode. Off is
-  /// a pure A/B knob — both paths produce identical verdicts (tests pin
-  /// it).
-  bool tinterval_composition = true;
   /// Number of concurrent flooding probes (node 0 plus random sources) used
   /// to measure d alongside the run. 0 disables measurement. Probe start
   /// rounds are staggered: when a probe completes at round c, its slot
@@ -157,10 +143,10 @@ struct EngineOptions {
   /// Results are bit-identical either way (the DeltaFor contract; tests pin
   /// it) — off gives the legacy from-scratch path for A/B comparison.
   bool incremental_topology = true;
-  /// Inbox backing policy for all-sent rounds (see DeliveryMode). Results
-  /// are bit-identical across modes (tests pin it) — only wall clock
-  /// differs, so forcing an arm is a pure A/B knob.
-  DeliveryMode delivery = DeliveryMode::kAdaptive;
+  /// Inbox backing for all-sent rounds (see DeliveryMode). Results are
+  /// bit-identical across modes (tests pin it) — only wall clock differs,
+  /// so kGather is a pure A/B knob.
+  DeliveryMode delivery = DeliveryMode::kDense;
   /// Overlap the next round's topology construction with this round's
   /// deliver phase on a persistent auxiliary lane. Engages only when the
   /// adversary is oblivious, threads > 1 and n clears the sharding floor;
@@ -224,8 +210,8 @@ struct EngineOptions {
   /// an internal budget, so RunStats::memory is populated either way; pass
   /// one to aggregate engine charges with caller-side subsystems (sketch
   /// pool, trace stream) under a single budget. Must outlive the engine.
-  /// Only size-deterministic subsystems are charged — timing-dependent
-  /// scratch (adaptive gather buffers) is excluded so RunStats stays
+  /// Only size-deterministic subsystems are charged — backing-dependent
+  /// scratch (the per-shard gather buffers) is excluded so RunStats stays
   /// bit-identical across thread counts and delivery backings.
   util::MemoryBudget* memory_budget = nullptr;
 };
@@ -277,85 +263,40 @@ class Engine final : private AdversaryView {
     aux_wait_ns_round_ = 0;
 
     const auto t0 = Clock::now();
-    bool has_delta = false;  // delta_ holds this round's delta
+    // One topology call per round, in round order: either the prefetch
+    // launched by the previous Step or a synchronous call here. Both run
+    // ProduceTopology, so the adversary sees the identical call sequence.
+    if (prefetch_pending_) {
+      // Join the lane task before round_ or topo_ change (the in-flight
+      // call reads both); Drain rethrows any adversary error and orders
+      // the task's writes before our reads.
+      DrainTopoLane();
+      prefetch_pending_ = false;
+      stats_.timings.aux_topology_ns += prefetch_ns_;
+      ++round_;
+    } else {
+      ProduceTopology(++round_);
+    }
     if (incremental_) {
-      // One topology call per round, in round order — either the prefetch
-      // launched by the previous Step (join before mutating round_ or topo_,
-      // both of which the in-flight call reads) or a synchronous call here.
-      // Both schedules present the adversary the identical call sequence.
-      // Per round one of two sub-paths runs, chosen by WantDirectTopology():
-      // RoundEdgesInto straight into the DynGraph's edit buffer — with one
-      // engine-side DiffSorted when a checker/trace consumes deltas — or
-      // DeltaFor + Apply. The choice only moves work between equivalent
-      // code paths; the produced graph (and every consumed delta) is
-      // identical either way.
-      bool assigned = false;
-      if (prefetch_pending_) {
-        // Join the lane task launched by the previous Step (it wrote
-        // prefetch_slot_ and possibly topo_'s edit buffer); Drain rethrows
-        // any adversary error and orders its writes before our reads.
-        DrainTopoLane();
-        prefetch_pending_ = false;
-        stats_.timings.aux_topology_ns += prefetch_ns_;
-        PrefetchedTopology& pf = prefetch_slot_;
-        round_ = prefetched_round_;
-        if (pf.tried_direct && !pf.assigned) topo_direct_supported_ = false;
-        assigned = pf.assigned;
-        has_delta = pf.has_delta;
-        delta_ = std::move(pf.delta);
-      } else {
-        ++round_;
-        if (WantDirectTopology()) {
-          assigned =
-              adversary_.RoundEdgesInto(round_, *this, topo_.EditBuffer());
-          if (!assigned) {
-            topo_direct_supported_ = false;
-          } else if (need_delta_) {
-            graph::DiffSorted(topo_.View().Edges(), topo_.EditBuffer(),
-                              delta_);
-            has_delta = true;
-          }
-        }
-        if (!assigned) {
-          adversary_.DeltaFor(round_, *this, topo_.View(), delta_);
-          has_delta = true;
-        }
-      }
       // The CSR fill runs on the send/deliver pool (every lane joins right
       // after the prefetch join) and is byte-identical to the serial fill.
-      if (assigned) {
+      if (topo_assigned_) {
         topo_.CommitEdges(pool_);
         ++topo_direct_rounds_;
       } else {
         topo_.Apply(delta_, pool_);  // CheckError on a contract-violating delta
         ++topo_delta_rounds_;
       }
-      // Whatever sub-path ran, every delta consumer must have a delta for
-      // every round — the PR 6 regression was exactly this gate silently
-      // starving consumers when the fast path was picked.
-      SDN_CHECK(!need_delta_ || has_delta);
-      UpdateTopologyChurn(has_delta);
       if (options_.record_trace != nullptr) {
         options_.record_trace->Push(topo_.View(), delta_);
       }
     } else {
-      graph::Graph g(0);
-      if (prefetch_pending_) {
-        DrainTopoLane();
-        prefetch_pending_ = false;
-        stats_.timings.aux_topology_ns += prefetch_ns_;
-        g = std::move(prefetch_graph_);
-        round_ = prefetched_round_;
-      } else {
-        ++round_;
-        g = adversary_.TopologyFor(round_, *this);
-      }
-      SDN_CHECK_MSG(g.num_nodes() == n_,
+      SDN_CHECK_MSG(produced_graph_.num_nodes() == n_,
                     "adversary produced wrong-size graph");
       if (options_.record_trace != nullptr) {
-        options_.record_trace->Push(g);
+        options_.record_trace->Push(produced_graph_);
       }
-      last_topology_ = std::move(g);
+      last_topology_ = std::move(produced_graph_);
     }
     const graph::Graph& g = incremental_ ? topo_.View() : last_topology_;
     stats_.edges_processed += g.num_edges();
@@ -566,61 +507,28 @@ class Engine final : private AdversaryView {
     // oblivious adversary the call reads no node state, so running it on
     // the persistent auxiliary lane while OnReceive mutates the nodes is
     // race-free and the produced call sequence is identical to the
-    // synchronous schedule. In incremental mode the lane reads topo_.View(),
-    // which is not touched again until the next Step drains the lane.
+    // synchronous schedule. The lane reads topo_.View(), which is not
+    // touched again until the next Step drains the lane, and writes only
+    // ProduceTopology's outputs (delta_ included: this round's checker and
+    // trace recorder are done with it), which nothing reads before that
+    // drain.
     if (prefetch_enabled_ && round_ < options_.max_rounds) {
-      prefetched_round_ = round_ + 1;
       prefetch_pending_ = true;
-      if (incremental_) {
-        // The lane writes only the DynGraph's edit buffer (disjoint from
-        // the view the deliver phase reads), the moved-out delta and the
-        // prefetch result slots. The sub-path choice is frozen at launch
-        // from this round's churn state — exactly what the synchronous
-        // schedule would pick, since churn was last updated in this Step's
-        // topology section.
-        topo_lane_.Submit(util::UniqueTask(
-            [this, r = prefetched_round_, direct = WantDirectTopology(),
-             d = std::move(delta_)]() mutable {
-              const auto p0 = std::chrono::steady_clock::now();
-              PrefetchedTopology pf;
-              pf.tried_direct = direct;
-              if (direct) {
-                pf.assigned =
-                    adversary_.RoundEdgesInto(r, *this, topo_.EditBuffer());
-                if (pf.assigned && need_delta_) {
-                  graph::DiffSorted(topo_.View().Edges(), topo_.EditBuffer(),
-                                    d);
-                  pf.has_delta = true;
-                }
-              }
-              if (!pf.assigned) {
-                adversary_.DeltaFor(r, *this, topo_.View(), d);
-                pf.has_delta = true;
-              }
-              pf.delta = std::move(d);
-              prefetch_slot_ = std::move(pf);
-              prefetch_ns_ =
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - p0)
-                      .count();
-            }));
-      } else {
-        topo_lane_.Submit(util::UniqueTask([this, r = prefetched_round_]() {
-          const auto p0 = std::chrono::steady_clock::now();
-          prefetch_graph_ = adversary_.TopologyFor(r, *this);
-          prefetch_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - p0)
-                             .count();
-        }));
-      }
+      topo_lane_.Submit(util::UniqueTask([this, r = round_ + 1]() {
+        const auto p0 = std::chrono::steady_clock::now();
+        ProduceTopology(r);
+        prefetch_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - p0)
+                           .count();
+      }));
     }
 
     // Deliver phase. Zero-copy either way. Dense path (all-sent rounds
-    // only, when the backing policy picks it): each receiver's Inbox
-    // indexes the outbox through the graph's own CSR neighbor span — no
-    // gather at all. Sparse path: gather pointers to the flagged outbox
-    // slots into per-shard reusable buffers — the flags live in sent_, so
-    // the gather itself never touches a message cache line. Both paths
+    // under DeliveryMode::kDense): each receiver's Inbox indexes the outbox
+    // through the graph's own CSR neighbor span — no gather at all. Sparse
+    // path: gather pointers to the flagged outbox slots into per-shard
+    // reusable buffers — the flags live in sent_, so the gather itself
+    // never touches a message cache line. Both paths
     // issue a software prefetch for each receiver's message lines before
     // its OnReceive: the slot addresses are data-dependent scatters the
     // hardware prefetcher cannot see, and issuing them back to back buys
@@ -628,32 +536,9 @@ class Engine final : private AdversaryView {
     // outbox is not mutated until the next round's send phase. Decisions
     // land in per-node slots plus a per-shard count, reduced below instead
     // of mutated inline.
-    const bool all_sent = round_sent == n_;
-    // Arm choice happens per shard on this (the driving) thread — selector
-    // state is single-threaded by construction; workers only read their
-    // shard_arm_ slot. Rounds with silent nodes have no choice (gather).
-    const bool observe_arms =
-        all_sent && options_.delivery == DeliveryMode::kAdaptive;
-    bool all_dense = all_sent;
-    for (std::int64_t s = 0; s < shards_; ++s) {
-      bool dense = false;
-      if (all_sent) {
-        switch (options_.delivery) {
-          case DeliveryMode::kGather:
-            break;
-          case DeliveryMode::kDense:
-            dense = true;
-            break;
-          case DeliveryMode::kAdaptive:
-            dense = shard_selectors_[static_cast<std::size_t>(s)].Choose() ==
-                    kDenseArm;
-            break;
-        }
-      }
-      shard_arm_[static_cast<std::size_t>(s)] = dense ? 1 : 0;
-      all_dense &= dense;
-    }
-    if (all_dense) {
+    const bool dense =
+        round_sent == n_ && options_.delivery == DeliveryMode::kDense;
+    if (dense) {
       ++dense_rounds_;
     } else {
       ++gather_rounds_;
@@ -674,16 +559,11 @@ class Engine final : private AdversaryView {
     if (fault_sleep_ms_ > 0 && round_ == fault_round_) {
       std::this_thread::sleep_for(std::chrono::milliseconds(fault_sleep_ms_));
     }
-    ForShards([this, &g, observe_arms, stage_next](int shard,
-                                                   std::int64_t begin,
-                                                   std::int64_t end) {
+    ForShards([this, &g, dense, stage_next](int shard, std::int64_t begin,
+                                            std::int64_t end) {
       using Message = typename A::Message;
       ShardAccum& acc = shard_accum_[static_cast<std::size_t>(shard)];
       acc = ShardAccum{};
-      const bool dense = shard_arm_[static_cast<std::size_t>(shard)] != 0;
-      const auto shard_start = observe_arms
-                                   ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point{};
       const Message* outbox = outbox_.data();
       ShardAccum* sacc = nullptr;
       Message* stage_out = nullptr;
@@ -730,12 +610,6 @@ class Engine final : private AdversaryView {
           }
           if (stage_next) stage_one(u, node);
         }
-        if (observe_arms) {
-          acc.deliver_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - shard_start)
-                  .count();
-        }
         return;
       }
       const unsigned char* sent = sent_.data();
@@ -761,11 +635,6 @@ class Engine final : private AdversaryView {
         }
         if (stage_next) stage_one(u, node);
       }
-      if (observe_arms) {
-        acc.deliver_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - shard_start)
-                             .count();
-      }
     });
     staged_valid_ = stage_next;
     // Deliver window ends at the barrier; merge + decision bookkeeping are
@@ -777,22 +646,6 @@ class Engine final : private AdversaryView {
       stats_.messages_delivered += acc.messages_delivered;
       round_delivered += acc.messages_delivered;
       decided += acc.decided;
-    }
-    // Feed the adaptive backing controllers (bookkeeping, lands in
-    // other_ns). Only all-sent rounds are observed: those are the rounds
-    // where a choice exists, and normalizing to ns per delivered message
-    // keeps rounds of different sizes comparable. Each shard observes its
-    // own measured cost under the arm it actually ran.
-    if (observe_arms) {
-      for (std::int64_t s = 0; s < shards_; ++s) {
-        const ShardAccum& acc = shard_accum_[static_cast<std::size_t>(s)];
-        if (acc.messages_delivered <= 0) continue;
-        shard_selectors_[static_cast<std::size_t>(s)].Observe(
-            shard_arm_[static_cast<std::size_t>(s)] != 0 ? kDenseArm
-                                                         : kGatherArm,
-            static_cast<double>(acc.deliver_ns) /
-                static_cast<double>(acc.messages_delivered));
-      }
     }
     if (decided > 0) {
       if (stats_.first_decide_round < 0) stats_.first_decide_round = round_;
@@ -963,9 +816,11 @@ class Engine final : private AdversaryView {
     return incremental_ ? topo_.View() : last_topology_;
   }
 
-  /// Per-path round counters (test/bench introspection; not part of
-  /// RunStats because the adaptive split is timing-driven and therefore
-  /// not deterministic).
+  /// Per-path round counters (test/bench introspection). Each is a pure
+  /// function of the options, the adversary and the send pattern: dense
+  /// counts the all-sent rounds under DeliveryMode::kDense and gather the
+  /// rest; in incremental mode, direct counts the rounds RoundEdgesInto
+  /// accepted and delta the rest.
   [[nodiscard]] std::int64_t dense_delivery_rounds() const {
     return dense_rounds_;
   }
@@ -977,13 +832,6 @@ class Engine final : private AdversaryView {
   }
   [[nodiscard]] std::int64_t topology_delta_rounds() const {
     return topo_delta_rounds_;
-  }
-  /// Shard 0's delivery ArmSelector (tests inspect warmup/preference
-  /// state; below 2·kMinShardNodes nodes there is exactly one shard, so
-  /// this is the whole selector state).
-  [[nodiscard]] const ArmSelector& delivery_selector() const {
-    SDN_CHECK(!shard_selectors_.empty());
-    return shard_selectors_.front();
   }
   /// Per-subsystem byte accounting (engine-owned budget unless
   /// EngineOptions::memory_budget redirected the charges).
@@ -1009,33 +857,6 @@ class Engine final : private AdversaryView {
   /// by at most this many rounds before Submit backpressures the producer.
   static constexpr std::size_t kCertQueueDepth = 4;
 
-  /// Adaptive delivery (DeliveryMode::kAdaptive): ArmSelector arms and
-  /// tuning. 3 warmup rounds per arm seed the EWMAs; one decision in 61 is
-  /// a re-probe of the losing arm (<2% of deliver time even when the loser
-  /// is much slower); the challenger must measure >=10% cheaper to flip the
-  /// preference (deliver-phase noise on a loaded box easily exceeds a few
-  /// percent round to round).
-  static constexpr int kDenseArm = 0;
-  static constexpr int kGatherArm = 1;
-  static constexpr int kDeliveryWarmupRounds = 3;
-  static constexpr int kDeliveryReprobeInterval = 61;
-  static constexpr double kDeliveryHysteresis = 0.9;
-
-  /// Churn-adaptive topology sub-path (incremental mode with delta
-  /// consumers): EWMA of |delta| / |E| with a hysteresis band. Above
-  /// kChurnHigh, in-place patching (Apply walks O(|Δ| log E) split points
-  /// plus the moved bytes, and itself degrades to a full linear merge once
-  /// |Δ| >= E/8) loses to rebuilding from the full round list (CommitEdges:
-  /// one swap plus an O(E) adjacency refill), so the engine flips to
-  /// RoundEdgesInto + one DiffSorted for the delta consumers; below
-  /// kChurnLow it flips back. The band brackets Apply's own E/8 dense-merge
-  /// crossover (docs/PERF.md records the measurement). Round 1's delta is
-  /// the full bootstrap graph (churn ratio ~1 by construction) and is
-  /// skipped as a bootstrap artifact.
-  static constexpr double kChurnAlpha = 0.25;
-  static constexpr double kChurnHigh = 0.15;
-  static constexpr double kChurnLow = 0.08;
-
   /// Per-shard accumulator for one phase; merged in shard order after the
   /// barrier. Cache-line aligned so neighboring shards don't false-share.
   struct alignas(64) ShardAccum {
@@ -1046,10 +867,6 @@ class Engine final : private AdversaryView {
     std::int64_t decided = 0;
     graph::NodeId violation_node = -1;  // first in node order within shard
     std::int64_t violation_bits = 0;
-    /// This shard's deliver wall clock (adaptive all-sent rounds only);
-    /// feeds its ArmSelector after the barrier. Timing only — never merged
-    /// into RunStats.
-    std::int64_t deliver_ns = 0;
   };
 
   // AdversaryView:
@@ -1075,35 +892,29 @@ class Engine final : private AdversaryView {
                               .count();
   }
 
-  /// Topology sub-path for the next round in incremental mode. Without
-  /// delta consumers the direct RoundEdgesInto path is strictly cheaper
-  /// (no diff runs anywhere); with consumers the churn hysteresis state
-  /// decides. An adversary without a native RoundEdgesInto permanently
-  /// pins the delta path the first time it declines.
-  [[nodiscard]] bool WantDirectTopology() const {
-    if (!topo_direct_supported_) return false;
-    if (!need_delta_) return true;
-    return topo_use_direct_;
-  }
-
-  /// Folds this round's |delta| / |E| into the churn EWMA and moves the
-  /// direct/delta preference across the hysteresis band. No-op on rounds
-  /// without a delta (direct path, no consumers — there is no choice to
-  /// steer) and on round 1 (bootstrap delta, see kChurnHigh).
-  void UpdateTopologyChurn(bool has_delta) {
-    if (!has_delta || round_ <= 1) return;
-    const auto edges = std::max<std::int64_t>(1, topo_.View().num_edges());
-    const double churn =
-        static_cast<double>(delta_.size()) / static_cast<double>(edges);
-    churn_ewma_ = churn_seeded_
-                      ? churn_ewma_ + kChurnAlpha * (churn - churn_ewma_)
-                      : churn;
-    churn_seeded_ = true;
-    if (topo_use_direct_) {
-      if (churn_ewma_ < kChurnLow) topo_use_direct_ = false;
-    } else if (churn_ewma_ > kChurnHigh) {
-      topo_use_direct_ = true;
+  /// Produces round r's topology for the topology section of Step, which
+  /// either calls it inline or joins the prefetch lane task that ran it.
+  /// From-scratch mode builds the whole graph with TopologyFor. Incremental
+  /// mode takes RoundEdgesInto whenever the adversary accepts it, running
+  /// DiffSorted only when a consumer needs the delta, and DeltaFor
+  /// otherwise; the first decline pins DeltaFor for the rest of the run.
+  /// Writes only state the deliver phase does not read: topo_'s edit
+  /// buffer, delta_ and the members declared next to produced_graph_.
+  void ProduceTopology(std::int64_t r) {
+    if (!incremental_) {
+      produced_graph_ = adversary_.TopologyFor(r, *this);
+      return;
     }
+    topo_assigned_ = topo_direct_supported_ &&
+                     adversary_.RoundEdgesInto(r, *this, topo_.EditBuffer());
+    if (topo_assigned_) {
+      if (need_delta_) {
+        graph::DiffSorted(topo_.View().Edges(), topo_.EditBuffer(), delta_);
+      }
+      return;
+    }
+    topo_direct_supported_ = false;
+    adversary_.DeltaFor(r, *this, topo_.View(), delta_);
   }
 
   /// Runs fn(shard, begin, end) over all shards — on the pool when parallel,
@@ -1296,23 +1107,22 @@ class Engine final : private AdversaryView {
     }
     incremental_ = options_.incremental_topology;
     if (incremental_) topo_.Reset(n_);
-    // Certification fast path: a composition-exposing adversary lets the
+    // Witness certification: a composition-exposing adversary lets the
     // checker certify windows by witness identity, so no delta needs to be
     // materialized for it at all — the topology hot path stays identical
-    // to an unvalidated run. Excluded when a flight recorder is attached
-    // (its kCheckerWindow track reads the delta path's stable_edge_count)
-    // or a trace recorder forces deltas anyway.
-    use_composition_ = checker_.has_value() && options_.tinterval_composition &&
-                       incremental_ && adversary_.has_composition() &&
-                       rec_ == nullptr && options_.record_trace == nullptr;
+    // to an unvalidated run. A run certified this way took about half the
+    // wall time of a delta-checker run at n=1024 and about a tenth at
+    // n=65536 (docs/PERF.md "Certification"). The delta checker runs
+    // instead when a flight recorder is attached (its kCheckerWindow track
+    // reads the delta path's stable_edge_count) or a trace recorder forces
+    // deltas anyway.
+    use_composition_ = checker_.has_value() && incremental_ &&
+                       adversary_.has_composition() && rec_ == nullptr &&
+                       options_.record_trace == nullptr;
     // Deltas are materialized whenever something consumes them: the
-    // streaming validator (unless it rides the composition fast path) or a
-    // trace recorder. With consumers attached the adversary's
-    // RoundEdgesInto fast path stays available — the engine derives the
-    // delta itself with one DiffSorted when churn makes the direct path
-    // the cheaper producer (WantDirectTopology); the Step assert
-    // guarantees consumers see a delta every round regardless of which
-    // sub-path ran.
+    // delta-driven checker or a trace recorder. ProduceTopology derives
+    // the delta with one DiffSorted when the adversary assigned the round
+    // directly, so every consumer sees a delta every round.
     need_delta_ = (checker_.has_value() && !use_composition_) ||
                   options_.record_trace != nullptr;
     // Fused send/deliver needs the in-place compose path (OnSendInto) and
@@ -1390,11 +1200,6 @@ class Engine final : private AdversaryView {
       staged_accum_.assign(static_cast<std::size_t>(shards_), ShardAccum{});
     }
     shard_slots_.resize(static_cast<std::size_t>(shards_));
-    shard_selectors_.assign(static_cast<std::size_t>(shards_),
-                            ArmSelector{kDeliveryWarmupRounds,
-                                        kDeliveryReprobeInterval,
-                                        kDeliveryHysteresis});
-    shard_arm_.assign(static_cast<std::size_t>(shards_), 0);
 
     for (int i = 0; i < options_.flood_probes; ++i) {
       const graph::NodeId src = (i == 0) ? graph::NodeId{0} : RandomSource();
@@ -1519,40 +1324,18 @@ class Engine final : private AdversaryView {
   graph::DynGraph topo_{0};        // incremental mode's one live topology
   graph::TopologyDelta delta_;     // reused round-over-round delta buffer
 
-  // Churn-adaptive topology sub-path state (see kChurnHigh/kChurnLow).
-  bool topo_direct_supported_ = true;  // adversary has RoundEdgesInto
-  bool topo_use_direct_ = false;       // churn-hysteresis preference
-  bool churn_seeded_ = false;
-  double churn_ewma_ = 0.0;
+  // ProduceTopology's output, consumed by Step's topology section: the
+  // round list sits in topo_'s edit buffer (topo_assigned_) or delta_
+  // holds the round's delta; from-scratch mode leaves a whole graph.
+  bool topo_assigned_ = false;
+  graph::Graph produced_graph_{0};
+  bool topo_direct_supported_ = true;  // RoundEdgesInto has not declined
+
+  // Per-path round counters (see dense_delivery_rounds()).
   std::int64_t topo_direct_rounds_ = 0;
   std::int64_t topo_delta_rounds_ = 0;
-
-  // Adaptive delivery state (DeliveryMode::kAdaptive) and per-path round
-  // counters (kept for all modes — forced modes just count one arm). The
-  // selectors are per shard: at large n one global cost model washes out
-  // shard-local effects (node-order placement means shards differ in
-  // degree mix and cache residency), so each shard runs its own
-  // ArmSelector over its own measured per-message deliver cost. Arms are
-  // chosen on the driving thread before the phase (selector state is
-  // never touched from workers) into shard_arm_; workers only read their
-  // slot. A round counts as dense only when every shard chose dense, so
-  // dense+gather still partition the executed rounds (tests pin it; at
-  // n < 2·kMinShardNodes there is one shard and the behavior is exactly
-  // the old global selector's).
-  std::vector<ArmSelector> shard_selectors_;
-  std::vector<int> shard_arm_;  // this round's per-shard choice (1 = dense)
   std::int64_t dense_rounds_ = 0;
   std::int64_t gather_rounds_ = 0;
-
-  /// What an incremental-mode topology prefetch produced: the round list
-  /// already sits in topo_'s edit buffer (assigned) and/or `delta` holds
-  /// the round's delta (always when delta consumers exist).
-  struct PrefetchedTopology {
-    bool tried_direct = false;
-    bool assigned = false;
-    bool has_delta = false;
-    graph::TopologyDelta delta;
-  };
 
   // Parallel geometry (EnsureStarted) and per-shard state.
   util::ThreadPool* pool_ = nullptr;
@@ -1566,18 +1349,15 @@ class Engine final : private AdversaryView {
 
   // Pipelining state. The double-buffered outbox halves (fused mode flips
   // live_buf_ each round; outbox_/sent_ above always alias the live half),
-  // the staged-send accumulators, and the topology-prefetch result slots
-  // (written by the topology lane, read after the drain at the top of the
-  // next Step). prefetch_ns_/cert_ns_ are lane-side wall clocks surfaced
-  // as EngineTimings::aux_*_ns at the rendezvous points.
+  // the staged-send accumulators, and the pending topology prefetch (its
+  // task writes the ProduceTopology outputs above, read after the drain
+  // at the top of the next Step). prefetch_ns_/cert_ns_ are lane-side wall
+  // clocks surfaced as EngineTimings::aux_*_ns at the rendezvous points.
   std::span<typename A::Message> outbox_bufs_[2];
   std::span<unsigned char> sent_bufs_[2];
   int live_buf_ = 0;
   bool staged_valid_ = false;
   std::vector<ShardAccum> staged_accum_;
-  std::int64_t prefetched_round_ = -1;
-  PrefetchedTopology prefetch_slot_;
-  graph::Graph prefetch_graph_{0};
   bool prefetch_pending_ = false;
   std::int64_t prefetch_ns_ = 0;
   std::int64_t cert_ns_ = 0;
@@ -1625,7 +1405,7 @@ class Engine final : private AdversaryView {
 
   // Auxiliary pipelining lanes — declared last so their destructors (which
   // join any in-flight task) run before the members those tasks touch
-  // (adversary_, topo_, delta_, checker_, the prefetch slots) are
+  // (adversary_, topo_, delta_, checker_, ProduceTopology's outputs) are
   // destroyed. cert_lane_ is mutable because const stats() is its
   // deterministic rendezvous.
   util::AuxLane topo_lane_;

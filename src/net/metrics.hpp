@@ -28,7 +28,10 @@ namespace sdn::net {
 /// steady_clock reads per phase — a few tens of ns per round, negligible
 /// against the O(E) round work.
 struct EngineTimings {
-  std::int64_t topology_ns = 0;  ///< adversary TopologyFor + trace recording
+  /// Topology window: the adversary call when it runs inline, else the
+  /// prefetch join wait, plus the CSR commit, the memory gauge updates and
+  /// the trace push.
+  std::int64_t topology_ns = 0;
   std::int64_t validate_ns = 0;  ///< streaming T-interval checker
   std::int64_t probe_ns = 0;     ///< flooding-time probes
   std::int64_t send_ns = 0;      ///< OnSend + bandwidth accounting

@@ -23,8 +23,8 @@
 //     pointer of the engine's per-round outbox — entry i is
 //     outbox[neighbors[i]], read in place with no per-receiver gather at
 //     all.
-//   * sparse (silent-node rounds, tests): a gather of `const M*` pointers
-//     into the outbox, one per messaging neighbor.
+//   * sparse (silent-node rounds, DeliveryMode::kGather, tests): a gather
+//     of `const M*` pointers into the outbox, one per messaging neighbor.
 //
 // Either way a message broadcast to k neighbors exists exactly once in
 // memory and is read in place by all k receivers. Iteration yields
@@ -134,6 +134,17 @@ class Inbox {
   std::span<const M* const> slots_;  // sparse backing
   const M* base_ = nullptr;          // dense backing: outbox base
   std::span<const std::int32_t> ids_;  // dense backing: neighbor ids
+};
+
+/// How the engine backs each receiver's Inbox on rounds where every node
+/// sent. Rounds with silent nodes always gather: dense indexing is only
+/// valid when every slot is live. Results are bit-identical in both modes.
+enum class DeliveryMode {
+  /// Gather pointers to the flagged outbox slots on every round.
+  kGather,
+  /// Index the outbox through the CSR neighbor span on every all-sent
+  /// round (the default).
+  kDense,
 };
 
 template <typename A>

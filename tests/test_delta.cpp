@@ -328,32 +328,38 @@ void ExpectSameStats(const net::RunStats& a, const net::RunStats& b,
 /// End to end: the incremental engine path produces bit-identical RunStats
 /// to the from-scratch path, with validation and probes on.
 TEST(IncrementalEngine, RunStatsMatchFromScratchPath) {
-  for (const std::string& kind :
-       {std::string("spine-gnp"), std::string("spine-expander"),
-        std::string("static-path"), std::string("adaptive-desc"),
-        std::string("mobile")}) {
-    RunConfig config;
-    config.n = 48;
-    config.T = 2;
-    config.seed = 11;
-    config.adversary.kind = kind;
-    config.threads = 1;
+  // n = 192 at threads = 2 runs both paths' topology producer on the
+  // prefetch lane (oblivious adversaries only).
+  for (const int threads : {1, 2}) {
+    for (const std::string& kind :
+         {std::string("spine-gnp"), std::string("spine-expander"),
+          std::string("static-path"), std::string("adaptive-desc"),
+          std::string("mobile")}) {
+      RunConfig config;
+      config.n = threads == 1 ? 48 : 192;
+      config.T = 2;
+      config.seed = 11;
+      config.adversary.kind = kind;
+      config.threads = threads;
 
-    config.incremental_topology = true;
-    const RunResult inc = RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
-    config.incremental_topology = false;
-    const RunResult scratch = RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
+      config.incremental_topology = true;
+      const RunResult inc = RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
+      config.incremental_topology = false;
+      const RunResult scratch =
+          RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
 
-    ExpectSameStats(inc.stats, scratch.stats, kind);
-    EXPECT_TRUE(inc.Ok()) << kind;
-    EXPECT_TRUE(scratch.Ok()) << kind;
+      const std::string label = kind + " threads=" + std::to_string(threads);
+      ExpectSameStats(inc.stats, scratch.stats, label);
+      EXPECT_TRUE(inc.Ok()) << label;
+      EXPECT_TRUE(scratch.Ok()) << label;
+    }
   }
 }
 
-/// Same end-to-end comparison with validation off: no checker and no trace
-/// recorder means the engine takes the RoundEdgesInto direct-assignment fast
-/// path instead of DeltaFor/Apply, and it too must be bit-identical to the
-/// from-scratch path.
+/// Same end-to-end comparison with validation off: with no checker and no
+/// trace recorder nothing consumes deltas, so adversaries with
+/// RoundEdgesInto assign each round directly with no DiffSorted at all, and
+/// that too must be bit-identical to the from-scratch path.
 TEST(IncrementalEngine, FastPathStatsMatchScratchWithValidationOff) {
   for (const std::string& kind :
        {std::string("spine-gnp"), std::string("spine-expander"),

@@ -14,7 +14,6 @@
 #include "adversary/static_adversary.hpp"
 #include "algo/flood_max.hpp"
 #include "graph/generators.hpp"
-#include "net/backing.hpp"
 #include "net/trace.hpp"
 #include "obs/recorder.hpp"
 #include "util/check.hpp"
@@ -653,72 +652,6 @@ TEST(Engine, WrongSizeAdversaryRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// ArmSelector: the measured chooser behind DeliveryMode::kAdaptive.
-
-TEST(ArmSelector, WarmupAlternatesUntilBothArmsSampled) {
-  ArmSelector sel(/*warmup_per_arm=*/3, /*reprobe_interval=*/10,
-                  /*hysteresis=*/0.9);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_FALSE(sel.warmed_up());
-    const int arm = sel.Choose();
-    EXPECT_EQ(arm, i % 2) << "warmup must alternate";
-    sel.Observe(arm, 100.0);
-  }
-  EXPECT_TRUE(sel.warmed_up());
-  EXPECT_EQ(sel.observations(0), 3);
-  EXPECT_EQ(sel.observations(1), 3);
-}
-
-TEST(ArmSelector, NeverPicksTheMeasuredLoser) {
-  // The PR 6 satellite contract: outside warmup and the bounded re-probe,
-  // Choose() must return the arm the EWMAs say is cheaper. Arm 0 measures
-  // 10x cheaper here, so every non-re-probe decision must be arm 0.
-  ArmSelector sel(/*warmup_per_arm=*/2, /*reprobe_interval=*/7,
-                  /*hysteresis=*/0.9);
-  while (!sel.warmed_up()) {
-    const int arm = sel.Choose();
-    sel.Observe(arm, arm == 0 ? 10.0 : 100.0);
-  }
-  int reprobes = 0;
-  for (int i = 0; i < 200; ++i) {
-    const int arm = sel.Choose();
-    if (arm == 1) ++reprobes;
-    sel.Observe(arm, arm == 0 ? 10.0 : 100.0);
-  }
-  EXPECT_EQ(sel.preferred(), 0);
-  // Exactly one decision in every reprobe_interval refreshes the loser.
-  EXPECT_EQ(reprobes, 200 / 7);
-}
-
-TEST(ArmSelector, HysteresisBlocksFlipsNearParity) {
-  ArmSelector sel(/*warmup_per_arm=*/1, /*reprobe_interval=*/100,
-                  /*hysteresis=*/0.9);
-  sel.Observe(0, 100.0);
-  sel.Observe(1, 95.0);  // 5% cheaper: inside the 10% hysteresis band
-  EXPECT_EQ(sel.preferred(), 0);
-  // 40% cheaper clears the band (one Observe moves the EWMA a quarter of
-  // the way, so feed a few).
-  for (int i = 0; i < 10; ++i) sel.Observe(1, 60.0);
-  EXPECT_EQ(sel.preferred(), 1);
-}
-
-TEST(ArmSelector, ReprobeRecoversFromWorkloadShift) {
-  // Arm 0 wins at first; then the workload shifts and arm 0 becomes 10x
-  // worse. Only the periodic re-probe ever samples arm 1 again, and it must
-  // be enough to flip the preference.
-  ArmSelector sel(/*warmup_per_arm=*/1, /*reprobe_interval=*/5,
-                  /*hysteresis=*/0.9);
-  sel.Observe(0, 10.0);
-  sel.Observe(1, 100.0);
-  EXPECT_EQ(sel.preferred(), 0);
-  for (int i = 0; i < 100 && sel.preferred() == 0; ++i) {
-    const int arm = sel.Choose();
-    sel.Observe(arm, arm == 0 ? 1000.0 : 100.0);
-  }
-  EXPECT_EQ(sel.preferred(), 1);
-}
-
-// ---------------------------------------------------------------------------
 // Direct-send (OnSendInto) programs.
 
 /// Alternator twin that composes its message in place via OnSendInto. The
@@ -808,8 +741,7 @@ TEST(Engine, ConsumersSeeEveryDeltaOnIncrementalPath) {
   // Regression for the delta-gating audit: the direct topology path skips
   // delta production unless a consumer needs one, and the streaming
   // T-interval checker, the topology trace and the flight recorder are all
-  // such consumers. Attach all three at once on the incremental path (the
-  // engine asserts internally that every consumer round has a delta) and
+  // such consumers. Attach all three at once on the incremental path and
   // pin the recorded trace against the legacy from-scratch path's.
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
@@ -940,22 +872,24 @@ TEST(Engine, FailFastIsInertOnHonestRuns) {
 TEST(Engine, CompositionPathMatchesGeneralCheckerPath) {
   // The certification fast path (witness ids) and the delta-driven exact
   // checker must agree on every reported verdict field; only the internal
-  // mechanism differs.
+  // mechanism differs. An attached flight recorder moves certification to
+  // the delta checker (its checker track reads the delta path's state).
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
   config.n = 48;
   config.T = 2;
   config.seed = 21;
-  const auto run = [&config](bool composition) {
+  const auto run = [&config](obs::FlightRecorder* rec) {
     const auto adv = adversary::MakeAdversary(config);
     std::vector<InboxCounter> nodes(48, InboxCounter(40));
     EngineOptions opts;
-    opts.tinterval_composition = composition;
+    opts.recorder = rec;
     Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
     return engine.Run();
   };
-  const RunStats fast = run(true);
-  const RunStats general = run(false);
+  obs::FlightRecorder rec;
+  const RunStats fast = run(nullptr);
+  const RunStats general = run(&rec);
   EXPECT_EQ(fast.tinterval_ok, general.tinterval_ok);
   EXPECT_EQ(fast.certified_T, general.certified_T);
   EXPECT_EQ(fast.tinterval_first_bad_window,
@@ -984,6 +918,79 @@ TEST(Engine, TopologyAndDeliveryPathCountersPartitionRounds) {
             stats.rounds);
   EXPECT_EQ(engine.dense_delivery_rounds() + engine.gather_delivery_rounds(),
             stats.rounds);
+}
+
+TEST(Engine, AllSentRoundsDeliverDenseByDefault) {
+  // The default backing is dense on every all-sent round; kGather gathers
+  // on every round. n = 256 is 4 shards, so threads = 2 runs both backings
+  // on the pool. StaticAdversary keeps the default RoundEdgesInto, which
+  // declines: the first decline pins DeltaFor, so no round is assigned
+  // directly (at threads = 2 the decline happens on the prefetch lane).
+  const graph::NodeId n = 256;
+  for (const int threads : {1, 2}) {
+    for (const bool gather : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (gather ? " gather" : " default"));
+      StaticAdversary adv(graph::Cycle(n));
+      std::vector<InboxCounter> nodes(static_cast<std::size_t>(n),
+                                      InboxCounter(12));
+      EngineOptions opts;
+      opts.threads = threads;
+      if (gather) opts.delivery = DeliveryMode::kGather;
+      Engine<InboxCounter> engine(std::move(nodes), adv, opts);
+      const RunStats stats = engine.Run();
+      EXPECT_EQ(stats.rounds, 12);
+      EXPECT_EQ(engine.dense_delivery_rounds(), gather ? 0 : stats.rounds);
+      EXPECT_EQ(engine.gather_delivery_rounds(), gather ? stats.rounds : 0);
+      EXPECT_EQ(engine.topology_direct_rounds(), 0);
+      EXPECT_EQ(engine.topology_delta_rounds(), stats.rounds);
+    }
+  }
+}
+
+TEST(Engine, SilentRoundsGatherUnderTheDefaultBacking) {
+  // Alternator silences the odd ids on odd rounds: exactly those rounds
+  // gather, and every all-sent (even) round is dense.
+  const graph::NodeId n = 256;
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StaticAdversary adv(graph::Cycle(n));
+    std::vector<Alternator> nodes;
+    for (graph::NodeId u = 0; u < n; ++u) nodes.emplace_back(u, 8);
+    EngineOptions opts;
+    opts.threads = threads;
+    Engine<Alternator> engine(std::move(nodes), adv, opts);
+    const RunStats stats = engine.Run();
+    EXPECT_EQ(stats.rounds, 8);
+    EXPECT_EQ(engine.gather_delivery_rounds(), 4);
+    EXPECT_EQ(engine.dense_delivery_rounds(), 4);
+  }
+}
+
+TEST(Engine, TopologyAssignsDirectlyWheneverTheAdversaryAccepts) {
+  // spine-gnp implements RoundEdgesInto. A flight recorder makes the run a
+  // delta consumer (the delta checker replaces the witness), and every
+  // round is still assigned directly, with the delta diffed from it.
+  // threads = 2 at n = 256 runs the producer on the prefetch lane.
+  adversary::AdversaryConfig config;
+  config.kind = "spine-gnp";
+  config.n = 256;
+  config.T = 2;
+  config.seed = 13;
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto adv = adversary::MakeAdversary(config);
+    std::vector<InboxCounter> nodes(256, InboxCounter(30));
+    obs::FlightRecorder rec;
+    EngineOptions opts;
+    opts.threads = threads;
+    opts.recorder = &rec;
+    Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
+    const RunStats stats = engine.Run();
+    EXPECT_TRUE(stats.tinterval_ok);
+    EXPECT_EQ(engine.topology_delta_rounds(), 0);
+    EXPECT_EQ(engine.topology_direct_rounds(), stats.rounds);
+  }
 }
 
 }  // namespace

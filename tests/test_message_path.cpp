@@ -1,14 +1,13 @@
 // Delivery-backing equivalence of the message path (docs/PERF.md).
 //
 // RunConfig::delivery is documented as a pure throughput knob: on
-// all-sender rounds the engine may deliver straight out of the outbox via
-// the topology's CSR neighbor spans instead of gathering per-node pointer
-// lists, and kAdaptive picks between the two per round from measured cost —
-// but every statistic except the wall-clock timings must be bit-identical
-// in all three modes (the adaptive chooser reads only the clock, never the
-// payload). These property tests pin that contract across the algorithm
-// zoo (flood baseline, committee, census, hjswy), an oblivious and an
-// adaptive adversary, and the serial/parallel engine — the full matrix the
+// all-sender rounds the engine delivers straight out of the outbox via the
+// topology's CSR neighbor spans (kDense, the default) unless kGather forces
+// the per-node pointer gather — but every statistic except the wall-clock
+// timings must be bit-identical in both modes. These property tests pin
+// that contract across the algorithm zoo (flood baseline, committee,
+// census, hjswy), an oblivious and an adaptive adversary, and the
+// serial/parallel engine (threads 1, 2 and hardware) — the full matrix the
 // bench's A/B comparison relies on.
 #include <gtest/gtest.h>
 
@@ -57,15 +56,11 @@ void CheckDensePathInvariance(Algorithm algorithm,
     config.threads = threads;
     config.delivery = net::DeliveryMode::kGather;
     const RunResult gather = RunAlgorithm(algorithm, config);
+    config.delivery = net::DeliveryMode::kDense;
+    const RunResult dense = RunAlgorithm(algorithm, config);
     SCOPED_TRACE(std::string(ToString(algorithm)) + " on " + adversary +
                  " threads=" + std::to_string(threads));
-    for (const net::DeliveryMode mode :
-         {net::DeliveryMode::kDense, net::DeliveryMode::kAdaptive}) {
-      config.delivery = mode;
-      const RunResult other = RunAlgorithm(algorithm, config);
-      SCOPED_TRACE(mode == net::DeliveryMode::kDense ? "dense" : "adaptive");
-      ExpectIdenticalRuns(gather, other);
-    }
+    ExpectIdenticalRuns(gather, dense);
   }
 }
 
