@@ -1,14 +1,9 @@
 #include "adversary/spine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <numeric>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -125,79 +120,6 @@ std::vector<graph::Edge> MakeSpineEdges(const SpineSpec& spec, graph::NodeId n,
   }
   const graph::Graph g = MakeSpine(spec, n, rng);
   return {g.Edges().begin(), g.Edges().end()};
-}
-
-namespace {
-
-/// Everything that determines a spine's edge list. The rng seed captures the
-/// full generator state because PooledSpineEdges requires an undrawn rng.
-struct SpineKey {
-  std::uint64_t seed = 0;
-  graph::NodeId n = 0;
-  SpineKind kind = SpineKind::kExpander;
-  double gnp_p = 0.0;
-  int expander_cycles = 0;
-  graph::NodeId clique_size = 0;
-
-  friend bool operator==(const SpineKey&, const SpineKey&) = default;
-};
-
-struct SpineKeyHash {
-  std::size_t operator()(const SpineKey& k) const {
-    std::uint64_t h = k.seed;
-    const auto mix = [&h](std::uint64_t x) {
-      h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    };
-    mix(static_cast<std::uint64_t>(k.n));
-    mix(static_cast<std::uint64_t>(k.kind));
-    mix(std::bit_cast<std::uint64_t>(k.gnp_p));
-    mix(static_cast<std::uint64_t>(k.expander_cycles));
-    mix(static_cast<std::uint64_t>(k.clique_size));
-    return static_cast<std::size_t>(h);
-  }
-};
-
-using SpinePtr = std::shared_ptr<const std::vector<graph::Edge>>;
-
-std::mutex g_spine_pool_mutex;
-std::unordered_map<SpineKey, SpinePtr, SpineKeyHash>& SpinePool() {
-  static auto* pool = new std::unordered_map<SpineKey, SpinePtr, SpineKeyHash>;
-  return *pool;
-}
-std::int64_t g_spine_pool_edges = 0;
-
-/// Memory bound on the pool: ~32 MB of edges. Eviction simply clears the
-/// map — handles already returned stay alive through their shared_ptr, and
-/// pool contents never affect results (only whether they are recomputed).
-constexpr std::int64_t kSpinePoolMaxEdges = std::int64_t{4} << 20;
-
-}  // namespace
-
-SpinePtr PooledSpineEdges(const SpineSpec& spec, graph::NodeId n,
-                          util::Rng& rng) {
-  const SpineKey key{rng.seed(),          n,
-                     spec.kind,           spec.gnp_p,
-                     spec.expander_cycles, spec.clique_size};
-  {
-    const std::lock_guard<std::mutex> lock(g_spine_pool_mutex);
-    auto& pool = SpinePool();
-    if (const auto it = pool.find(key); it != pool.end()) return it->second;
-  }
-  // Generate outside the lock: concurrent misses may duplicate work, never
-  // results (same key -> same list), and the second insert is a no-op.
-  auto made =
-      std::make_shared<const std::vector<graph::Edge>>(MakeSpineEdges(spec, n, rng));
-  {
-    const std::lock_guard<std::mutex> lock(g_spine_pool_mutex);
-    auto& pool = SpinePool();
-    const auto added = static_cast<std::int64_t>(made->size());
-    if (g_spine_pool_edges + added > kSpinePoolMaxEdges) {
-      pool.clear();
-      g_spine_pool_edges = 0;
-    }
-    if (pool.emplace(key, made).second) g_spine_pool_edges += added;
-  }
-  return made;
 }
 
 }  // namespace sdn::adversary

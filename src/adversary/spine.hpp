@@ -5,7 +5,6 @@
 // separate the d- and N-dependence of each algorithm.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,21 +46,5 @@ graph::Graph MakeSpine(const SpineSpec& spec, graph::NodeId n, util::Rng& rng);
 /// never touch the spine's own CSR adjacency (kGnp skips building it).
 std::vector<graph::Edge> MakeSpineEdges(const SpineSpec& spec, graph::NodeId n,
                                         util::Rng& rng);
-
-/// Memoized MakeSpineEdges. A spine edge list is a pure function of
-/// (spec, n, seed of a fresh rng), and the callers that matter — benchmark
-/// reps, A/B comparisons, threads sweeps, parameter sweeps re-running a
-/// seed — regenerate identical spines over and over; this serves them from
-/// a process-wide pool (mutex-guarded, bounded; eviction clears the pool,
-/// never invalidates handles already returned).
-///
-/// Contract: `rng` must be freshly constructed or freshly Fork()ed — its
-/// seed() is the pool key, so a generator that has already been drawn from
-/// would alias a different stream. On a pool hit the generation draws are
-/// skipped entirely and `rng` is left untouched, so callers must discard it
-/// either way (the stable-spine adversary forks a throwaway era rng per
-/// era, which is the intended usage pattern).
-std::shared_ptr<const std::vector<graph::Edge>> PooledSpineEdges(
-    const SpineSpec& spec, graph::NodeId n, util::Rng& rng);
 
 }  // namespace sdn::adversary

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -46,7 +47,8 @@ void StableSpineAdversary::AdvanceToEra(std::int64_t era) {
 std::shared_ptr<const std::vector<graph::Edge>>
 StableSpineAdversary::DrawSpine(std::int64_t era) {
   util::Rng era_rng = seed_rng_.Fork(static_cast<std::uint64_t>(era) + 1);
-  return PooledSpineEdges(options_.spine, n_, era_rng);
+  return std::make_shared<const std::vector<graph::Edge>>(
+      MakeSpineEdges(options_.spine, n_, era_rng));
 }
 
 graph::Graph StableSpineAdversary::SpineForRound(std::int64_t round) {
@@ -137,7 +139,7 @@ void StableSpineAdversary::BuildRoundEdges(std::int64_t round,
 
   // Publish the round's structural claim (Composition): the round is
   // exactly core ∪ support ∪ fresh, with era numbers as pinned-set ids.
-  // The shared spine-pool vectors double as the span-lifetime contract's
+  // The shared spine vectors double as the span-lifetime contract's
   // owners: a consumer pinning an era's spine (the checker's spine cache,
   // the async certification lane) holds the shared_ptr, so the set
   // survives era rotation with zero copies anywhere.

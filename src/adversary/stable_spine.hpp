@@ -70,9 +70,9 @@ class StableSpineAdversary final : public net::Adversary {
       std::int64_t round) const override {
     return round == comp_round_ ? &comp_ : nullptr;
   }
-  /// Generator buffers: the live spine-pool vectors (current, previous and
-  /// the next era's once drawn ahead), the cached era overlap union, and
-  /// the per-round assembly/volatile scratch. Pure function of the round
+  /// Generator buffers: the live spine vectors (current, previous and the
+  /// next era's once drawn ahead), the cached era overlap union, and the
+  /// per-round assembly/volatile scratch. Pure function of the round
   /// sequence (capacities only grow along it).
   [[nodiscard]] std::int64_t BufferBytes() const override {
     const auto vec = [](const auto& v) {
@@ -94,7 +94,8 @@ class StableSpineAdversary final : public net::Adversary {
 
  private:
   void AdvanceToEra(std::int64_t era);
-  /// Era `era`'s spine: PooledSpineEdges on the era's forked rng.
+  /// Era `era`'s spine: MakeSpineEdges on the era's forked rng, shared so
+  /// a composition consumer can pin it past the era.
   [[nodiscard]] std::shared_ptr<const std::vector<graph::Edge>> DrawSpine(
       std::int64_t era);
   /// The sorted-unique union of the current and previous spines, built once
@@ -112,8 +113,8 @@ class StableSpineAdversary final : public net::Adversary {
   util::Rng volatile_rng_;
   std::int64_t current_era_ = -1;
   bool has_previous_ = false;  // a previous era's spine exists
-  // Sorted-unique edge lists shared with the process-wide spine pool (the
-  // spine CSR is never needed); null until the first AdvanceToEra.
+  // Sorted-unique spine edge lists (the spine CSR is never needed), shared
+  // with the RoundComposition owners; null until the first AdvanceToEra.
   std::shared_ptr<const std::vector<graph::Edge>> current_spine_;
   std::shared_ptr<const std::vector<graph::Edge>> previous_spine_;
   // Era current_era_ + 1's spine, drawn by the era's last round; null

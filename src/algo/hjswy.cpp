@@ -7,7 +7,6 @@
 #include <limits>
 #include <sstream>
 
-#include "algo/kernels.hpp"
 #include "util/check.hpp"
 
 namespace sdn::algo {
@@ -24,6 +23,11 @@ std::uint64_t Mix(std::uint64_t h, std::uint64_t x) {
 
 double BitsToDouble(std::uint32_t bits) {
   return static_cast<double>(std::bit_cast<float>(bits));
+}
+
+/// acc[i] = min(acc[i], vals[i]) in the unsigned 32-bit domain, i < len.
+void MinInto(std::uint32_t* acc, const std::uint32_t* vals, std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) acc[i] = std::min(acc[i], vals[i]);
 }
 
 }  // namespace
@@ -209,17 +213,16 @@ void HjswyProgram::OnReceive(Round r, Inbox<Message> inbox) {
   // The running minima live in the float32 *bit* domain: every wire value is
   // a nonnegative float (Exp draws quantized to float, +inf for weight 0), and
   // for nonnegative IEEE floats value order coincides with unsigned order of
-  // the bit patterns. That turns the per-message inner loop into a pure
-  // integer min, run through the SIMD-dispatched kernels::MinU32 (the
-  // dispatch pointer is hoisted out of the message loop, so each message
-  // pays one perfectly-predicted indirect call, not an atomic load).
+  // the bit patterns. That turns the per-message inner loop into a plain
+  // unsigned min over the message's len lanes, which the compiler
+  // vectorizes. It stops at len rather than running all kMaxCoordsPerMsg
+  // lanes: coords lanes 6 and up sit in the message's second cache line.
   std::int32_t block_base = -1;
   std::int32_t block_len = 0;
   bool block_has_sum = false;
   constexpr std::uint32_t kInfBits = 0x7f800000u;  // float32 +infinity
   std::array<std::uint32_t, kMaxCoordsPerMsg> block_bits{};
   std::array<std::uint32_t, kMaxCoordsPerMsg> sum_block_bits{};
-  const kernels::MinU32Fn min_u32 = kernels::MinU32Kernel();
 
   for (const Message& m : inbox) {
     if (m.num_coords > 0) {
@@ -232,10 +235,10 @@ void HjswyProgram::OnReceive(Round r, Inbox<Message> inbox) {
       }
       if (m.coord_base == block_base && m.num_coords == block_len) {
         const auto len = static_cast<std::size_t>(block_len);
-        min_u32(block_bits.data(), m.coords.data(), len);
+        MinInto(block_bits.data(), m.coords.data(), len);
         if (m.has_sum) {
           block_has_sum = true;
-          min_u32(sum_block_bits.data(), m.sum_coords.data(), len);
+          MinInto(sum_block_bits.data(), m.sum_coords.data(), len);
         }
       } else {
         for (std::size_t i = 0; i < static_cast<std::size_t>(m.num_coords);

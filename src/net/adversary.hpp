@@ -110,7 +110,7 @@ class Adversary {
   /// adversaries (which sample PublicState mid-run) must return false.
   [[nodiscard]] virtual bool oblivious() const { return true; }
 
-  /// Byte footprint of the adversary's generator buffers (spine pools,
+  /// Byte footprint of the adversary's generator buffers (held spines,
   /// assembly scratch, RNG state — whatever the implementation retains
   /// between rounds). Surfaced by the engine as the "adversary" memory
   /// gauge; must be a pure function of the call sequence (capacities, not

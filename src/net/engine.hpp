@@ -86,7 +86,6 @@
 #include <optional>
 #include <span>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -236,21 +235,6 @@ class Engine final : private AdversaryView {
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  ~Engine() {
-    // The outbox lives in the arena, which never runs element destructors;
-    // message types with non-trivial state (e.g. a census shared_ptr) are
-    // destroyed here — both halves of the double buffer — before the arena
-    // member releases its chunks. In-flight auxiliary-lane tasks touch
-    // only topo_/delta_/checker_ (never the outbox); the lanes are the
-    // last-declared members, so their destructors join before anything
-    // they read dies.
-    if constexpr (!std::is_trivially_destructible_v<typename A::Message>) {
-      for (std::span<typename A::Message> buf : outbox_bufs_) {
-        for (typename A::Message& m : buf) std::destroy_at(&m);
-      }
-    }
-  }
 
   /// Executes one round. Returns false (and does nothing) once the run is
   /// over — every node decided or max_rounds executed. Throws CheckError
@@ -1132,17 +1116,14 @@ class Engine final : private AdversaryView {
     // the run already uses.
     fused_enabled_ = DirectSendProgram<A> && options_.fused_send_deliver &&
                      adversary_.oblivious();
-    // MakeArray value-initializes: outbox slots default-constructed, sent
-    // flags zero. Fused mode double-buffers both arrays so round r+1's
-    // staged messages never alias the slots round r is still delivering.
-    outbox_bufs_[0] =
-        arena_.MakeArray<typename A::Message>(static_cast<std::size_t>(n_));
-    sent_bufs_[0] = arena_.MakeArray<unsigned char>(static_cast<std::size_t>(n_));
-    if (fused_enabled_) {
-      outbox_bufs_[1] =
-          arena_.MakeArray<typename A::Message>(static_cast<std::size_t>(n_));
-      sent_bufs_[1] =
-          arena_.MakeArray<unsigned char>(static_cast<std::size_t>(n_));
+    // Outbox slots start default-constructed and sent flags zero. Fused
+    // mode double-buffers both arrays so round r+1's staged messages never
+    // alias the slots round r is still delivering.
+    const int halves = fused_enabled_ ? 2 : 1;
+    for (int h = 0; h < halves; ++h) {
+      outbox_bufs_[h] =
+          std::vector<typename A::Message>(static_cast<std::size_t>(n_));
+      sent_bufs_[h] = std::vector<unsigned char>(static_cast<std::size_t>(n_));
     }
     live_buf_ = 0;
     outbox_ = outbox_bufs_[0];
@@ -1164,7 +1145,7 @@ class Engine final : private AdversaryView {
     if (checker_.has_value()) mem_checker_ = budget_->Get("checker");
     mem_outbox_->SetCurrent(static_cast<std::int64_t>(
         static_cast<std::size_t>(n_) * (sizeof(typename A::Message) + 1) *
-        (fused_enabled_ ? 2 : 1)));
+        static_cast<std::size_t>(halves)));
     mem_programs_->SetCurrent(
         static_cast<std::int64_t>(static_cast<std::size_t>(n_) * sizeof(A)));
 
@@ -1310,11 +1291,7 @@ class Engine final : private AdversaryView {
   std::int64_t probes_completed_ = 0;
   std::int64_t probe_max_rounds_ = -1;
   double probe_total_rounds_ = 0.0;
-  // Engine-lifetime arrays live in one arena: a single max-aligned chunk
-  // per array instead of vector headers + allocator round-trips, destroyed
-  // wholesale (see ~Engine for the non-trivial Message case).
-  util::Arena arena_;
-  std::span<typename A::Message> outbox_;  // raw slots, one per node
+  std::span<typename A::Message> outbox_;  // live half: one slot per node
   std::span<unsigned char> sent_;          // 1 iff the slot is live
   graph::Graph last_topology_{0};  // from-scratch mode only
   bool incremental_ = false;       // set from options_ by EnsureStarted
@@ -1347,14 +1324,15 @@ class Engine final : private AdversaryView {
   std::vector<ShardAccum> shard_accum_;
   std::vector<std::vector<const typename A::Message*>> shard_slots_;
 
-  // Pipelining state. The double-buffered outbox halves (fused mode flips
-  // live_buf_ each round; outbox_/sent_ above always alias the live half),
+  // Pipelining state. The double-buffered outbox halves (the second stays
+  // empty unless fused; fused mode flips live_buf_ each round and
+  // outbox_/sent_ above always alias the live half),
   // the staged-send accumulators, and the pending topology prefetch (its
   // task writes the ProduceTopology outputs above, read after the drain
   // at the top of the next Step). prefetch_ns_/cert_ns_ are lane-side wall
   // clocks surfaced as EngineTimings::aux_*_ns at the rendezvous points.
-  std::span<typename A::Message> outbox_bufs_[2];
-  std::span<unsigned char> sent_bufs_[2];
+  std::vector<typename A::Message> outbox_bufs_[2];
+  std::vector<unsigned char> sent_bufs_[2];
   int live_buf_ = 0;
   bool staged_valid_ = false;
   std::vector<ShardAccum> staged_accum_;

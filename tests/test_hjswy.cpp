@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "adversary/factory.hpp"
 #include "algo/sketch_pool.hpp"
@@ -273,6 +278,83 @@ TEST(Hjswy, EstimateIsSharedByAllNodes) {
     EXPECT_DOUBLE_EQ(out.count_estimate, run.outputs.front().count_estimate);
     EXPECT_EQ(out.max_value, run.outputs.front().max_value);
     EXPECT_EQ(out.consensus_value, run.outputs.front().consensus_value);
+  }
+}
+
+/// OnReceive reduces an inbox of same-window messages to one block merge per
+/// sketch. A decoy with a different window placed first sends every later
+/// message down the per-coordinate MergeCoord path instead, and the decoy
+/// itself is neutral (+inf coordinate, no better aggregate). Both paths must
+/// leave the twins' sketch rows bit-identical, +inf and 0 lanes included.
+TEST(Hjswy, InboxReductionMatchesCoordinateMerges) {
+  using Message = HjswyProgram::Message;
+  constexpr std::uint32_t kInfBits = 0x7f800000u;
+  HjswyOptions options;
+  options.track_sum = true;
+  const int columns = HjswyProgram::RequiredPoolColumns(options);
+  util::Rng draws(17);
+  const auto lane = [&draws]() -> std::uint32_t {
+    switch (draws.UniformU64(8)) {
+      case 0:
+        return kInfBits;
+      case 1:
+        return 0;
+      default:
+        return std::bit_cast<std::uint32_t>(
+            static_cast<float>(2.0 * draws.UniformDouble()));
+    }
+  };
+  for (const std::int32_t len : {1, 4, 7, HjswyProgram::kMaxCoordsPerMsg}) {
+    for (const int k : {1, 3, 32}) {
+      SCOPED_TRACE("len=" + std::to_string(len) + " k=" + std::to_string(k));
+      SketchPool block_pool(1, columns);
+      SketchPool coord_pool(1, columns);
+      HjswyProgram block_node(0, 9, options, util::Rng(5), &block_pool);
+      HjswyProgram coord_node(0, 9, options, util::Rng(5), &coord_pool);
+      std::vector<std::uint32_t> initial;
+      for (int col = 0; col < columns; ++col) {
+        initial.push_back(block_pool.LoadBits(0, static_cast<std::size_t>(col)));
+      }
+
+      std::vector<Message> messages(static_cast<std::size_t>(k));
+      for (Message& m : messages) {
+        m.coord_base = 2 * len;
+        m.num_coords = len;
+        m.has_sum = true;
+        m.min_id = 3;
+        m.min_id_value = 4;
+        m.max_value = 11;
+        for (std::size_t i = 0; i < static_cast<std::size_t>(len); ++i) {
+          m.coords[i] = lane();
+          m.sum_coords[i] = lane();
+        }
+      }
+      messages.front().coords[0] = 0;  // at least one coordinate decreases
+      Message decoy;
+      decoy.coord_base = 3 * len;
+      decoy.num_coords = 1;
+      decoy.coords[0] = kInfBits;
+      decoy.min_id = std::numeric_limits<NodeId>::max();
+      decoy.max_value = kValueMin;
+
+      std::vector<const Message*> block_inbox;
+      std::vector<const Message*> coord_inbox = {&decoy};
+      for (const Message& m : messages) {
+        block_inbox.push_back(&m);
+        coord_inbox.push_back(&m);
+      }
+      block_node.OnReceive(1, net::Inbox<Message>(block_inbox));
+      coord_node.OnReceive(1, net::Inbox<Message>(coord_inbox));
+
+      int decreased = 0;
+      for (int col = 0; col < columns; ++col) {
+        const auto c = static_cast<std::size_t>(col);
+        ASSERT_EQ(block_pool.LoadBits(0, c), coord_pool.LoadBits(0, c))
+            << "column " << col;
+        if (block_pool.LoadBits(0, c) != initial[c]) ++decreased;
+      }
+      EXPECT_GT(decreased, 0);
+    }
   }
 }
 

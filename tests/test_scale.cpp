@@ -1,6 +1,6 @@
-// The million-node scaffolding: arena allocation, per-subsystem memory
-// accounting, the SoA sketch pool's layout, and streaming topology at
-// n=65536 (docs/PERF.md "Scale").
+// The million-node scaffolding: per-subsystem memory accounting, the SoA
+// sketch pool's layout, and streaming topology at n=65536 (docs/PERF.md
+// "Scale").
 //
 // The load-bearing contracts:
 //   * RunStats::memory is deterministic (thread-count invariant) and only
@@ -29,36 +29,6 @@
 
 namespace sdn {
 namespace {
-
-TEST(Arena, AllocatesAlignedAndZeroInitialized) {
-  util::Arena arena(/*chunk_bytes=*/256);
-  const std::span<unsigned char> flags = arena.MakeArray<unsigned char>(100);
-  ASSERT_EQ(flags.size(), 100u);
-  for (const unsigned char f : flags) EXPECT_EQ(f, 0);
-
-  struct alignas(64) Slot {
-    std::int64_t payload[8];
-  };
-  const std::span<Slot> slots = arena.MakeArray<Slot>(10);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(slots.data()) % 64, 0u);
-  for (const Slot& s : slots) {
-    for (const std::int64_t v : s.payload) EXPECT_EQ(v, 0);
-  }
-  EXPECT_GE(arena.bytes_allocated(), 100 + 10 * sizeof(Slot));
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_allocated());
-}
-
-TEST(Arena, OversizedRequestGetsDedicatedChunk) {
-  util::Arena arena(/*chunk_bytes=*/64);
-  const std::span<std::int64_t> big = arena.MakeArray<std::int64_t>(10'000);
-  ASSERT_EQ(big.size(), 10'000u);
-  big[0] = 1;
-  big[9'999] = 2;  // the whole span is addressable
-  EXPECT_EQ(big[0] + big[9'999], 3);
-  // A following small allocation still works (new chunk, old one full).
-  const std::span<int> small = arena.MakeArray<int>(4);
-  EXPECT_EQ(small.size(), 4u);
-}
 
 TEST(MemoryBudget, GaugesTrackCurrentAndPeak) {
   util::MemoryBudget budget;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -208,6 +209,28 @@ TEST(StableSpine, BufferBytesCountsTheSpineHeldForTheNextEra) {
         << "T=" << T;
     EXPECT_GT(held, 0);
   }
+}
+
+/// A spine lives only while its adversary or a composition consumer holds
+/// it: once era 0 and its overlap round are over, nothing keeps the era-0
+/// spine alive.
+TEST(StableSpine, RetiredSpineIsReleased) {
+  const graph::NodeId n = 64;
+  const ZeroView view(n);
+  StableSpineOptions options;
+  options.spine.kind = SpineKind::kGnp;
+  StableSpineAdversary adversary(n, /*T=*/2, options, 79);
+  std::vector<graph::Edge> edges;
+  ASSERT_TRUE(adversary.RoundEdgesInto(1, view, edges));
+  const std::weak_ptr<const std::vector<graph::Edge>> era0 =
+      adversary.Composition(1)->core_owner;
+  ASSERT_FALSE(era0.expired());
+  // Eras are T = 2 rounds long: era 1 (rounds 3-4) keeps era 0 as its
+  // overlap support in round 3 only, and round 5 opens era 2.
+  for (std::int64_t r = 2; r <= 5; ++r) {
+    ASSERT_TRUE(adversary.RoundEdgesInto(r, view, edges));
+  }
+  EXPECT_TRUE(era0.expired()) << "use_count " << era0.use_count();
 }
 
 }  // namespace
