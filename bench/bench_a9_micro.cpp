@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -34,6 +35,7 @@
 #include "obs/recorder.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdn {
 namespace {
@@ -292,6 +294,42 @@ ABResult PairedAB(const std::function<net::RunStats()>& run_a,
   out.speedup = static_cast<double>(std::max<std::int64_t>(1, stat(out.a))) /
                 static_cast<double>(std::max<std::int64_t>(1, stat(out.b)));
   return out;
+}
+
+/// STREAM-style triad a[i] = b[i] + 3·c[i] over three arrays of
+/// kTriadArrayMib MiB: the in-repo bandwidth ceiling that the deliver
+/// phase's bytes per round are read against (docs/PERF.md *Era prep on a
+/// helper lane*). Counts 24 bytes per element (two loads, one store;
+/// write-allocate traffic is not counted, as in STREAM) and reports the
+/// best of kTriadReps passes, split into `lanes` contiguous shards on the
+/// shared pool (1 = the calling thread alone).
+constexpr std::int64_t kTriadArrayMib = 64;
+constexpr int kTriadReps = 10;
+
+double TriadGbps(int lanes) {
+  constexpr std::size_t kElems =
+      static_cast<std::size_t>(kTriadArrayMib << 20) / sizeof(double);
+  std::vector<double> a(kElems, 0.0);
+  std::vector<double> b(kElems, 1.0);
+  std::vector<double> c(kElems, 2.0);
+  util::ThreadPool& pool = util::ThreadPool::Shared();
+  double best_s = 1e30;
+  for (int rep = 0; rep < kTriadReps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.ParallelFor(static_cast<std::int64_t>(kElems), lanes, lanes,
+                     [&](int, std::int64_t begin, std::int64_t end) {
+                       const auto e = static_cast<std::size_t>(end);
+                       for (auto i = static_cast<std::size_t>(begin); i < e;
+                            ++i) {
+                         a[i] = b[i] + 3.0 * c[i];
+                       }
+                     });
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    best_s = std::min(best_s, dt.count());
+  }
+  SDN_CHECK(a.front() == 7.0 && a.back() == 7.0);
+  return 24.0 * static_cast<double>(kElems) / best_s / 1e9;
 }
 
 void ReportEngineTimings() {
@@ -569,6 +607,16 @@ void ReportEngineTimings() {
       static_cast<long long>(anomaly_on_total_ns), anomaly_overhead_ratio,
       static_cast<long long>(anom.b.anomalies.size()));
 
+  // Bandwidth ceiling: the triad on one thread and on every pool lane.
+  const int pool_lanes = util::ThreadPool::Shared().lanes();
+  const double triad_serial_gbps = TriadGbps(1);
+  const double triad_pool_gbps = TriadGbps(pool_lanes);
+  std::printf(
+      "triad (STREAM-style, 3 x %lld MiB, best of %d): 1 lane %.2f GB/s, "
+      "%d lanes %.2f GB/s\n",
+      static_cast<long long>(kTriadArrayMib), kTriadReps, triad_serial_gbps,
+      pool_lanes, triad_pool_gbps);
+
   std::FILE* f = std::fopen("BENCH_engine.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "BENCH_engine.json: cannot open for writing\n");
@@ -687,7 +735,12 @@ void ReportEngineTimings() {
         static_cast<long long>(s.timings.total_ns),
         i + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f,
+               "  ],\n  \"triad_array_mib\": %lld,\n  \"triad_gbps\": "
+               "[{\"lanes\": 1, \"gbps\": %.2f}, {\"lanes\": %d, "
+               "\"gbps\": %.2f}]\n}\n",
+               static_cast<long long>(kTriadArrayMib), triad_serial_gbps,
+               pool_lanes, triad_pool_gbps);
   std::fclose(f);
   std::printf("  wrote BENCH_engine.json\n");
 }

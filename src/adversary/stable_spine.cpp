@@ -29,61 +29,85 @@ StableSpineAdversary::StableSpineAdversary(graph::NodeId n, int T,
                                                   << T << ")");
 }
 
-void StableSpineAdversary::AdvanceToEra(std::int64_t era) {
+void StableSpineAdversary::AdvanceToEra(std::int64_t era, bool helper) {
   SDN_CHECK(era >= 0);
   SDN_CHECK_MSG(era >= current_era_,
                 "StableSpineAdversary rounds must be non-decreasing");
+  if (era == current_era_) return;
+  if (current_era_ < 0) {
+    // Era 0 has no previous spine, so its spine is drawn here, in round 1.
+    current_spine_ = DrawSpine(0);
+    current_era_ = 0;
+  }
+  // The loop visits every era, so a request that skips eras still joins
+  // or runs each era's prep in order.
   while (current_era_ < era) {
-    ++current_era_;
-    has_previous_ = current_era_ >= 1;
+    const std::int64_t next = current_era_ + 1;
+    if (prep_era_ == next) {
+      prep_era_ = -1;
+      prep_lane_.Drain();  // orders the prep's writes; rethrows its error
+    } else {
+      PrepareEra(next, current_spine_);
+    }
     previous_spine_ = std::move(current_spine_);
-    // A held spine was drawn for exactly this era: the loop visits every
-    // era, so even a request that skips eras passes through it first.
-    current_spine_ = next_spine_ != nullptr ? std::move(next_spine_)
-                                            : DrawSpine(current_era_);
+    current_spine_ = std::move(prep_spine_);
+    overlap_base_.swap(prep_overlap_);
+    current_era_ = next;
+  }
+  prep_bytes_ = static_cast<std::int64_t>(
+      (current_spine_->capacity() + prep_overlap_.capacity()) *
+      sizeof(graph::Edge));
+  if (helper) {
+    // Under a prefetching engine this runs on its prefetch lane from round
+    // 2 on and on its main thread in round 1. The calls never overlap and
+    // the engine's lane handoff orders them, as AuxLane's single producer
+    // requires.
+    prep_era_ = current_era_ + 1;
+    prep_lane_.Submit(
+        util::UniqueTask([this, era = prep_era_, previous = current_spine_] {
+          PrepareEra(era, previous);
+        }));
   }
 }
 
-std::shared_ptr<const std::vector<graph::Edge>>
-StableSpineAdversary::DrawSpine(std::int64_t era) {
+StableSpineAdversary::SpinePtr StableSpineAdversary::DrawSpine(
+    std::int64_t era) const {
   util::Rng era_rng = seed_rng_.Fork(static_cast<std::uint64_t>(era) + 1);
   return std::make_shared<const std::vector<graph::Edge>>(
       MakeSpineEdges(options_.spine, n_, era_rng));
 }
 
+void StableSpineAdversary::PrepareEra(std::int64_t era,
+                                      const SpinePtr& previous) {
+  prep_spine_ = DrawSpine(era);
+  if (t_ >= 2) graph::UnionSorted(*prep_spine_, *previous, prep_overlap_);
+}
+
 graph::Graph StableSpineAdversary::SpineForRound(std::int64_t round) {
   SDN_CHECK(round >= 1);
-  AdvanceToEra((round - 1) / era_length_);
+  AdvanceToEra((round - 1) / era_length_, /*helper=*/false);
   std::vector<graph::Edge> copy = *current_spine_;
   return graph::Graph(n_, std::move(copy), graph::Graph::SortedEdges{});
 }
 
-const std::vector<graph::Edge>& StableSpineAdversary::OverlapBase() {
-  if (overlap_base_era_ != current_era_) {
-    overlap_base_era_ = current_era_;
-    graph::UnionSorted(*current_spine_, *previous_spine_, overlap_base_);
-  }
-  return overlap_base_;
-}
-
-void StableSpineAdversary::BuildRoundEdges(std::int64_t round,
+void StableSpineAdversary::BuildRoundEdges(std::int64_t round, bool helper,
                                            std::vector<graph::Edge>& out) {
   SDN_CHECK(round >= 1);
   const std::int64_t era = (round - 1) / era_length_;
   const std::int64_t offset = (round - 1) % era_length_;
-  AdvanceToEra(era);
+  AdvanceToEra(era, helper);
 
   // Overlap: previous era's spine persists through the first T-1 rounds of
   // this era so sliding T-windows keep a common connected spanning subgraph.
-  const bool overlap = offset < t_ - 1 && has_previous_;
+  const bool overlap = offset < t_ - 1 && previous_spine_ != nullptr;
   const std::int64_t volatile_count = n_ >= 2 ? options_.volatile_edges : 0;
 
-  // This runs once per simulated round: the base (spine, or the per-era
-  // cached spine union during overlap) is already sorted-unique, so the
+  // This runs once per simulated round: the base (spine, or the era's
+  // overlap base during overlap) is already sorted-unique, so the
   // round list is one block-copy merge of the few volatile edges into the
   // base — runs between volatile insertion points are copied wholesale.
   const std::vector<graph::Edge>& base =
-      overlap ? OverlapBase() : *current_spine_;
+      overlap ? overlap_base_ : *current_spine_;
   out.clear();
   out.reserve(base.size() + static_cast<std::size_t>(volatile_count));
   if (volatile_count > 0) {
@@ -157,34 +181,27 @@ void StableSpineAdversary::BuildRoundEdges(std::int64_t round,
   }
   comp_.fresh = {fresh_edges_.data(), fresh_edges_.size()};
   comp_round_ = round;
-
-  // The era's last round draws the next era's spine (see the header): the
-  // spine generator then runs in this round's build, not in the boundary
-  // round's, which also unions the two spines.
-  if (offset == era_length_ - 1 && next_spine_ == nullptr) {
-    next_spine_ = DrawSpine(current_era_ + 1);
-  }
 }
 
-graph::Graph StableSpineAdversary::TopologyFor(std::int64_t round,
-                                               const net::AdversaryView&) {
+graph::Graph StableSpineAdversary::TopologyFor(
+    std::int64_t round, const net::AdversaryView& view) {
   std::vector<graph::Edge> merged;
-  BuildRoundEdges(round, merged);
+  BuildRoundEdges(round, view.prefetches_topology(), merged);
   return graph::Graph(n_, std::move(merged), graph::Graph::SortedEdges{});
 }
 
 void StableSpineAdversary::DeltaFor(std::int64_t round,
-                                    const net::AdversaryView&,
+                                    const net::AdversaryView& view,
                                     const graph::Graph& prev,
                                     graph::TopologyDelta& out) {
-  BuildRoundEdges(round, round_edges_);
+  BuildRoundEdges(round, view.prefetches_topology(), round_edges_);
   graph::DiffSorted(prev.Edges(), round_edges_, out);
 }
 
 bool StableSpineAdversary::RoundEdgesInto(std::int64_t round,
-                                          const net::AdversaryView&,
+                                          const net::AdversaryView& view,
                                           std::vector<graph::Edge>& out) {
-  BuildRoundEdges(round, out);
+  BuildRoundEdges(round, view.prefetches_topology(), out);
   return true;
 }
 

@@ -17,11 +17,16 @@
 // Volatile edges change every round, so topologies genuinely differ
 // round-to-round even inside an era.
 //
-// Era-ahead draw: building the last round of era k also draws S_{k+1} and
-// holds it until era k+1 begins. Every spine is still drawn from its own
-// forked era rng, so the sequence is unchanged; the draw just moves out of
-// the era-boundary round — the one that also unions two spines — into the
-// plain round before it.
+// Era prep: everything era k+1 needs before its first round, its spine
+// S_{k+1} from the era's forked rng and (when T >= 2) the overlap base
+// S_k ∪ S_{k+1}, depends only on the seed and S_k. When the caller's view
+// reports a prefetching engine (AdversaryView::prefetches_topology()), the
+// adversary issues that prep on a helper lane of its own as era k starts
+// and joins it as era k+1 starts, so the spine draw and the union run on
+// an otherwise idle core instead of inside a round build. Otherwise the
+// same prep runs inline at the join. Either way the draws, the rounds and
+// BufferBytes() are the same, and a prep error surfaces from the topology
+// call that joins it.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +36,7 @@
 #include "adversary/spine.hpp"
 #include "net/adversary.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdn::adversary {
 
@@ -47,6 +53,9 @@ class StableSpineAdversary final : public net::Adversary {
  public:
   StableSpineAdversary(graph::NodeId n, int T, StableSpineOptions options,
                        std::uint64_t seed);
+  // An in-flight prep holds `this`.
+  StableSpineAdversary(const StableSpineAdversary&) = delete;
+  StableSpineAdversary& operator=(const StableSpineAdversary&) = delete;
 
   [[nodiscard]] graph::NodeId num_nodes() const override { return n_; }
   [[nodiscard]] int interval() const override { return t_; }
@@ -70,20 +79,23 @@ class StableSpineAdversary final : public net::Adversary {
       std::int64_t round) const override {
     return round == comp_round_ ? &comp_ : nullptr;
   }
-  /// Generator buffers: the live spine vectors (current, previous and the
-  /// next era's once drawn ahead), the cached era overlap union, and the
-  /// per-round assembly/volatile scratch. Pure function of the round
-  /// sequence (capacities only grow along it).
+  /// Generator buffers: the current and previous spines, the overlap base,
+  /// the per-round assembly/volatile scratch, and the next era's prep
+  /// outputs. Those are charged from the join that issues the prep: the
+  /// spare overlap buffer at the capacity the prep gets it with, and the
+  /// spine at the size of the spine just joined, since the prep's own
+  /// spine is unknown until its join. The gauge reads nothing the helper
+  /// lane may be writing, so it is a pure function of the round sequence
+  /// and the same whether the prep runs there or inline.
   [[nodiscard]] std::int64_t BufferBytes() const override {
     const auto vec = [](const auto& v) {
       using T = typename std::decay_t<decltype(v)>::value_type;
       return static_cast<std::int64_t>(v.capacity() * sizeof(T));
     };
     std::int64_t total = vec(overlap_base_) + vec(round_edges_) +
-                         vec(fresh_edges_) + vec(fresh_keys_);
+                         vec(fresh_edges_) + vec(fresh_keys_) + prep_bytes_;
     if (current_spine_ != nullptr) total += vec(*current_spine_);
     if (previous_spine_ != nullptr) total += vec(*previous_spine_);
-    if (next_spine_ != nullptr) total += vec(*next_spine_);
     return total;
   }
 
@@ -93,17 +105,22 @@ class StableSpineAdversary final : public net::Adversary {
   [[nodiscard]] graph::Graph SpineForRound(std::int64_t round);
 
  private:
-  void AdvanceToEra(std::int64_t era);
+  using SpinePtr = std::shared_ptr<const std::vector<graph::Edge>>;
+
+  /// Enters `era`, passing through every era before it: joins (or runs
+  /// inline) each era's prep, rotates the spines and the overlap base, and
+  /// on a `helper` request issues the next era's prep on prep_lane_.
+  void AdvanceToEra(std::int64_t era, bool helper);
   /// Era `era`'s spine: MakeSpineEdges on the era's forked rng, shared so
   /// a composition consumer can pin it past the era.
-  [[nodiscard]] std::shared_ptr<const std::vector<graph::Edge>> DrawSpine(
-      std::int64_t era);
-  /// The sorted-unique union of the current and previous spines, built once
-  /// per era (used by the first T-1 overlap rounds of that era).
-  const std::vector<graph::Edge>& OverlapBase();
+  [[nodiscard]] SpinePtr DrawSpine(std::int64_t era) const;
+  /// The era prep (see the header) for `era` >= 1, whose previous era's
+  /// spine is `previous`. Writes prep_spine_ and prep_overlap_ only.
+  void PrepareEra(std::int64_t era, const SpinePtr& previous);
   /// Fills `out` with round's sorted, deduplicated edge list (spine ∪
   /// overlap spine ∪ fresh volatile edges), advancing the volatile RNG.
-  void BuildRoundEdges(std::int64_t round, std::vector<graph::Edge>& out);
+  void BuildRoundEdges(std::int64_t round, bool helper,
+                       std::vector<graph::Edge>& out);
 
   graph::NodeId n_;
   int t_;
@@ -112,21 +129,26 @@ class StableSpineAdversary final : public net::Adversary {
   util::Rng seed_rng_;
   util::Rng volatile_rng_;
   std::int64_t current_era_ = -1;
-  bool has_previous_ = false;  // a previous era's spine exists
   // Sorted-unique spine edge lists (the spine CSR is never needed), shared
-  // with the RoundComposition owners; null until the first AdvanceToEra.
-  std::shared_ptr<const std::vector<graph::Edge>> current_spine_;
-  std::shared_ptr<const std::vector<graph::Edge>> previous_spine_;
-  // Era current_era_ + 1's spine, drawn by the era's last round; null
-  // otherwise. AdvanceToEra moves it in as the next current spine.
-  std::shared_ptr<const std::vector<graph::Edge>> next_spine_;
-  std::vector<graph::Edge> overlap_base_;    // cached cur ∪ prev of one era
-  std::int64_t overlap_base_era_ = -1;
+  // with the RoundComposition owners; current is null until era 0 starts,
+  // previous until era 1 does.
+  SpinePtr current_spine_;
+  SpinePtr previous_spine_;
+  std::vector<graph::Edge> overlap_base_;  // current ∪ previous (T >= 2)
   std::vector<graph::Edge> round_edges_;  // DeltaFor's reused assembly buffer
   std::vector<graph::Edge> fresh_edges_;  // volatile-edge scratch
   std::vector<std::uint64_t> fresh_keys_;  // packed volatile draws pre-sort
   graph::RoundComposition comp_;     // last built round's structure
   std::int64_t comp_round_ = -1;     // round comp_ describes
+  // The era prep's outputs, moved in (spine) and swapped in (overlap base,
+  // whose spare buffer the next prep refills) when the prep is joined.
+  SpinePtr prep_spine_;
+  std::vector<graph::Edge> prep_overlap_;
+  std::int64_t prep_era_ = -1;   // era whose prep is on prep_lane_, or -1
+  std::int64_t prep_bytes_ = 0;  // what BufferBytes charges for the prep
+  // Declared after every member the prep writes, so destroying the
+  // adversary joins an in-flight prep before those members go away.
+  util::AuxLane prep_lane_;
 };
 
 }  // namespace sdn::adversary

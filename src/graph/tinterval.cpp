@@ -240,20 +240,22 @@ bool TIntervalChecker::PushComposition(const RoundComposition& comp,
   if (ring_fresh_.empty()) {
     ring_fresh_.resize(static_cast<std::size_t>(t_));
     ring_ids_.assign(static_cast<std::size_t>(t_), {kNoId, kNoId});
-    spines_.reserve(2 * static_cast<std::size_t>(t_) + 8);
+    spines_.reserve(2 * static_cast<std::size_t>(t_));
   }
   const auto slot = static_cast<std::size_t>((r - 1) % t_);
+  const std::uint64_t support_id =
+      comp.support.empty() ? kNoId : comp.support_id;
   ring_fresh_[slot].assign(comp.fresh.begin(), comp.fresh.end());
-  ring_ids_[slot] = {comp.core_id,
-                     comp.support.empty() ? kNoId : comp.support_id};
+  ring_ids_[slot] = {comp.core_id, support_id};
 
   bool full_verify = false;
-  EnsureSpineVerified(comp.core_id, comp.core, comp.core_owner, &full_verify);
+  EnsureSpineVerified(comp.core_id, comp.core, comp.core_owner, support_id,
+                      &full_verify);
   if (!comp.support.empty()) {
     SDN_CHECK_MSG(comp.support_id != kNoId,
                   "RoundComposition support span without an id");
     EnsureSpineVerified(comp.support_id, comp.support, comp.support_owner,
-                        &full_verify);
+                        comp.core_id, &full_verify);
   }
   CheckComposition(comp, round_edges, r, full_verify);
 
@@ -293,7 +295,7 @@ const TIntervalChecker::SpineRecord* TIntervalChecker::FindSpine(
 
 void TIntervalChecker::EnsureSpineVerified(
     std::uint64_t id, std::span<const Edge> edges,
-    const std::shared_ptr<const std::vector<Edge>>& owner,
+    const std::shared_ptr<const std::vector<Edge>>& owner, std::uint64_t keep,
     bool* full_verify) {
   // Shared-ownership span-lifetime contract: the span must point into the
   // owner's buffer, which the record below pins for as long as the id can
@@ -306,11 +308,12 @@ void TIntervalChecker::EnsureSpineVerified(
                     edges.data() + edges.size() <= owner->data() + owner->size(),
                 "RoundComposition id " << id
                                        << " span outside its owner's buffer");
-  for (const SpineRecord& rec : spines_) {
+  for (SpineRecord& rec : spines_) {
     if (rec.id != id) continue;
     SDN_CHECK_MSG(rec.data == edges.data() && rec.size == edges.size(),
                   "RoundComposition id " << id
                                          << " reused for a different span");
+    rec.stamp = rounds_seen_;
     return;
   }
   // New id: one union-find pass over the span, early-exiting the moment
@@ -342,22 +345,29 @@ void TIntervalChecker::EnsureSpineVerified(
   if (ids_first_seen_ <= 2 || ids_first_seen_ % 16 == 0) {
     *full_verify = true;
   }
-  // The FIFO eviction horizon of 2T+8 ids can never reach an id still
-  // referenced by the last-T ring (at most two new ids per round), so the
-  // owned copies the fallback reconstructs from are always available.
-  const std::size_t cap = 2 * static_cast<std::size_t>(t_) + 8;
-  SpineRecord* rec;
+  // LRU over 2T ids. Every id the last T rounds reference was stamped
+  // inside them, and they reference at most 2T ids: this new one, `keep`
+  // (the round's other id) and at most 2T-2 from the older rounds. So a
+  // full cache always holds another id, and the oldest stamp among those
+  // belongs to an id no round in the ring references: the exact-window
+  // fallback never reconstructs from an evicted id.
+  const std::size_t cap = 2 * static_cast<std::size_t>(t_);
+  SpineRecord* rec = nullptr;
   if (spines_.size() < cap) {
     rec = &spines_.emplace_back();
   } else {
-    rec = &spines_[spine_evict_ % cap];
-    ++spine_evict_;
+    for (SpineRecord& old : spines_) {
+      if (old.id != keep && (rec == nullptr || old.stamp < rec->stamp)) {
+        rec = &old;
+      }
+    }
   }
   rec->id = id;
   rec->data = edges.data();
   rec->size = edges.size();
   rec->connected = connected;
   rec->owner = owner;
+  rec->stamp = rounds_seen_;
 }
 
 void TIntervalChecker::CheckComposition(const RoundComposition& comp,

@@ -196,6 +196,7 @@ class TIntervalChecker {
     /// the shared-ownership contract replaced the per-id defensive copy
     /// the checker used to make here.
     std::shared_ptr<const std::vector<Edge>> owner;
+    std::int64_t stamp = 0;  // last round that referenced the id (LRU)
 
     [[nodiscard]] std::span<const Edge> edges() const { return {data, size}; }
   };
@@ -214,10 +215,12 @@ class TIntervalChecker {
   /// ({since <= r-L+1}) connected; 0 if even E_r is disconnected.
   std::int64_t LargestConnectedSuffix(std::int64_t r, std::int64_t cap);
   // --- composition path ---
+  /// Verifies a first-seen id and caches it, or stamps a cached one.
+  /// `keep` is the round's other id, never evicted to make room.
   void EnsureSpineVerified(
       std::uint64_t id, std::span<const Edge> edges,
       const std::shared_ptr<const std::vector<Edge>>& owner,
-      bool* full_verify);
+      std::uint64_t keep, bool* full_verify);
   [[nodiscard]] const SpineRecord* FindSpine(std::uint64_t id) const;
   void CheckComposition(const RoundComposition& comp,
                         std::span<const Edge> round_edges, std::int64_t r,
@@ -266,8 +269,7 @@ class TIntervalChecker {
   // cost is O(|fresh|), not O(|E|).
   std::vector<std::vector<Edge>> ring_fresh_;
   std::vector<std::array<std::uint64_t, 2>> ring_ids_;
-  std::vector<SpineRecord> spines_;   // verified-id cache (FIFO evicted)
-  std::size_t spine_evict_ = 0;
+  std::vector<SpineRecord> spines_;   // verified-id cache (LRU, 2T ids)
   std::int64_t ids_first_seen_ = 0;   // full-verification schedule counter
   std::vector<Edge> isect_a_, isect_b_;  // intersection scratch
   std::vector<Edge> recon_, recon_base_;  // round-reconstruction scratch

@@ -29,6 +29,12 @@ class AdversaryView {
   [[nodiscard]] virtual double PublicState(graph::NodeId u) const = 0;
 
   [[nodiscard]] virtual graph::NodeId num_nodes() const = 0;
+
+  /// True when the engine runs the topology calls on its prefetch lane,
+  /// overlapped with deliver (EngineOptions::prefetch_topology engaged).
+  /// An adversary may then run its own per-era work on a helper thread;
+  /// under the default (false) it starts none.
+  [[nodiscard]] virtual bool prefetches_topology() const { return false; }
 };
 
 class Adversary {

@@ -63,7 +63,10 @@
 // persistent auxiliary lane (util::AuxLane) computes round r+1's
 // delta/edge list concurrently with round r's deliver; calls stay
 // sequential and in round order, so the produced graph sequence is
-// unchanged. (2) Asynchronous certification — the T-interval checker
+// unchanged. The view's prefetches_topology() reports this, and a spine
+// adversary then prepares each era one era ahead on a helper lane of its
+// own, so the per-era spine draw and union leave the prefetch lane's round
+// builds as well. (2) Asynchronous certification — the T-interval checker
 // consumes owned copies of each round's delta or composition claim on a
 // second bounded lane, with a deterministic rendezvous (stats() drains the
 // lane) before any verdict is read; fail-fast runs keep the synchronous
@@ -151,7 +154,10 @@ struct EngineOptions {
   /// adversary is oblivious, threads > 1 and n clears the sharding floor;
   /// the adversary still sees strictly sequential in-order calls, so
   /// RunStats is bit-identical on or off — off is a pure A/B knob for the
-  /// pipeline benchmarks.
+  /// pipeline benchmarks. The same rule is what AdversaryView::
+  /// prefetches_topology() reports: when it holds, StableSpineAdversary
+  /// prepares the next era (spine draw, spine union) on its own helper
+  /// lane; otherwise that prep runs inline in the era's first round.
   bool prefetch_topology = true;
   /// Run the streaming T-interval checker on a bounded auxiliary
   /// certification lane instead of the round's critical path. The lane
@@ -858,6 +864,9 @@ class Engine final : private AdversaryView {
   [[nodiscard]] double PublicState(graph::NodeId u) const override {
     SDN_CHECK(u >= 0 && u < n_);
     return nodes_[static_cast<std::size_t>(u)].PublicState();
+  }
+  [[nodiscard]] bool prefetches_topology() const override {
+    return prefetch_enabled_;
   }
 
   /// Joins the topology lane; with the anomaly plane on, the wait is

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graph/delta.hpp"
@@ -415,6 +416,45 @@ TEST(TIntervalChecker, SpineCachePinsPublishedBuffer) {
   again.core_id = 7;
   again.core_owner = pinned;
   EXPECT_TRUE(checker.PushComposition(again, round));
+}
+
+TEST(TIntervalChecker, SpineCacheKeepsALiveIdAndPinsAtMost2TSpines) {
+  // One core id referenced by every round and a new one-edge support id
+  // each round: the core is never new, so a cache that evicts in first-in
+  // order drops it while the ring still references it. The LRU cache keeps
+  // every id the last T rounds reference and pins no more than 2T spines.
+  const auto core = std::make_shared<const std::vector<Edge>>(
+      std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  for (const int T : {1, 2, 3}) {
+    SCOPED_TRACE("T=" + std::to_string(T));
+    TIntervalChecker checker(6, T);
+    std::vector<std::weak_ptr<const std::vector<Edge>>> supports;
+    for (std::int64_t r = 1; r <= 40; ++r) {
+      const Edge chord{0, static_cast<NodeId>(2 + r % 4)};
+      const auto support =
+          std::make_shared<const std::vector<Edge>>(std::vector<Edge>{chord});
+      supports.push_back(support);
+      std::vector<Edge> round = *core;
+      round.push_back(chord);
+      std::sort(round.begin(), round.end());
+      RoundComposition comp;
+      comp.core = *core;
+      comp.core_id = 0;
+      comp.core_owner = core;
+      comp.support = *support;
+      comp.support_id = static_cast<std::uint64_t>(r);
+      comp.support_owner = support;
+      bool ok = false;
+      ASSERT_NO_THROW(ok = checker.PushComposition(comp, round))
+          << "round " << r;
+      EXPECT_TRUE(ok) << "round " << r;
+      EXPECT_EQ(checker.certified_T(), T) << "round " << r;
+      const auto pinned = std::count_if(
+          supports.begin(), supports.end(),
+          [](const auto& w) { return !w.expired(); });
+      EXPECT_LE(pinned, 2 * T - 1) << "round " << r;
+    }
+  }
 }
 
 }  // namespace
