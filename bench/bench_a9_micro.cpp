@@ -766,7 +766,7 @@ int FaultSmoke(const std::string& dump_dir) {
 
   // Ring large enough that this run never wraps: a wrap would legitimately
   // fire the drop-onset rule and break the exactly-one assertion.
-  obs::FlightRecorder recorder(/*lanes=*/1, /*lane_capacity=*/1 << 20);
+  obs::FlightRecorder recorder(/*capacity=*/1 << 20);
   const net::RunStats stats = TimedReferenceRun(
       /*threads=*/1, /*incremental=*/true, net::DeliveryMode::kDense,
       &recorder, /*validate=*/true, /*overlaps=*/true,

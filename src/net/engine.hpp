@@ -29,8 +29,13 @@
 // round. Both paths software-prefetch each receiver's message cache lines
 // ahead of its OnReceive (the outbox reads are data-dependent scatters the
 // hardware prefetcher cannot predict). Results are bit-identical across
-// backings (pinned by tests); every phase of Step() is wall-clocked into
-// RunStats::timings.
+// backings (pinned by tests).
+//
+// Timing has one source: Step() reads the clock once at each phase boundary
+// into one per-round record (RoundClock). On every exit of Step(), aborts
+// included, CloseRound hands the same durations to RunStats::timings, the
+// registry's round_<phase>_ns histograms and the recorder's phase spans;
+// a completed round's anomaly signal reads its total from the same record.
 //
 // Topology is incremental by default (EngineOptions::incremental_topology):
 // one in-place DynGraph holds the live round instead of a fresh Graph per
@@ -195,15 +200,16 @@ struct EngineOptions {
   /// timed phase windows and RunStats stays bit-identical with the
   /// recorder attached or not (test_determinism pins it).
   obs::FlightRecorder* recorder = nullptr;
-  /// Collect per-round histograms (edges, deliveries, phase latencies)
-  /// into a metrics registry snapshotted as RunStats::metrics. Off by
-  /// default; like the recorder, off costs one branch per round.
+  /// Collect per-round histograms (edges, deliveries, every phase's
+  /// latency and the topology-lane join wait) into a metrics registry
+  /// snapshotted as RunStats::metrics. Off by default; like the recorder,
+  /// off costs one branch per round.
   bool collect_metrics = false;
-  /// Always-on anomaly plane: feed every round's phase spans, aux-lane
-  /// drain waits, memory gauges and certification state through
-  /// obs::AnomalyEngine (rolling per-phase histograms + five declarative
-  /// rules). Fired records land in RunStats::anomalies; when a flight
-  /// recorder is attached each firing also dumps a bounded
+  /// Always-on anomaly plane: feed every round's total time, aux-lane
+  /// drain wait, memory gauges and certification state through
+  /// obs::AnomalyEngine (a rolling window of round totals + five
+  /// declarative rules). Fired records land in RunStats::anomalies; when a
+  /// flight recorder is attached each firing also dumps a bounded
   /// `anomaly-<round>-<rule>.jsonl` snapshot. Engages only together with
   /// collect_metrics (the plane lives behind the same registry gate) and,
   /// like every sink, runs after the round's final clock read — the
@@ -247,20 +253,21 @@ class Engine final : private AdversaryView {
   /// (after recording RunStats::bandwidth_violation) when a node's message
   /// exceeds the bandwidth budget; the run is then finished and failed.
   bool Step() {
-    using Clock = std::chrono::steady_clock;
     EnsureStarted();
     if (finished_) return false;
-    aux_wait_ns_round_ = 0;
 
-    const auto t0 = Clock::now();
+    RoundClock clock;
+    clock.Stamp(kStart);
     // One topology call per round, in round order: either the prefetch
     // launched by the previous Step or a synchronous call here. Both run
     // ProduceTopology, so the adversary sees the identical call sequence.
     if (prefetch_pending_) {
       // Join the lane task before round_ or topo_ change (the in-flight
       // call reads both); Drain rethrows any adversary error and orders
-      // the task's writes before our reads.
-      DrainTopoLane();
+      // the task's writes before our reads. The join wait is the round's
+      // aux-lane stall signal.
+      topo_lane_.Drain();
+      clock.aux_wait_ns = Ns(clock.at[kStart], Clock::now());
       prefetch_pending_ = false;
       stats_.timings.aux_topology_ns += prefetch_ns_;
       ++round_;
@@ -306,7 +313,7 @@ class Engine final : private AdversaryView {
     // overlap toggles.
     if (incremental_) mem_topology_scratch_->SetCurrent(topo_.ScratchBytes());
     mem_adversary_->SetCurrent(adversary_.BufferBytes());
-    const auto t1 = Clock::now();
+    clock.Stamp(kTopologyEnd);
 
     if (checker_.has_value() && async_cert_) {
       // Certification lane: ship this round's claim as owned copies and
@@ -332,21 +339,17 @@ class Engine final : private AdversaryView {
                                               comp->fresh.end()),
              edges = std::vector<graph::Edge>(g.Edges().begin(),
                                               g.Edges().end())]() mutable {
-              const auto c0 = std::chrono::steady_clock::now();
+              const auto c0 = Clock::now();
               jc.fresh = fresh;
               (void)checker_->PushComposition(
                   jc, std::span<const graph::Edge>(edges));
-              cert_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - c0)
-                              .count();
+              cert_ns_ += Ns(c0, Clock::now());
             }));
       } else {
         cert_lane_.Submit(util::UniqueTask([this, d = delta_]() {
-          const auto c0 = std::chrono::steady_clock::now();
+          const auto c0 = Clock::now();
           (void)checker_->PushDelta(d);
-          cert_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - c0)
-                          .count();
+          cert_ns_ += Ns(c0, Clock::now());
         }));
       }
     } else if (checker_.has_value()) {
@@ -373,12 +376,12 @@ class Engine final : private AdversaryView {
         stats_.rounds = round_;
         stats_.tinterval_first_bad_window = checker_->first_bad_window();
         finished_ = true;
-        const auto tf = Clock::now();
-        AccumulateTimings(t0, t1, tf, tf, tf, tf, tf, Clock::now());
+        clock.Stamp(kValidateEnd);
+        CloseRound(clock);
         if (rec_ != nullptr) {
           rec_->Emit({.kind = obs::EventKind::kCheckerWindow,
                       .round = round_,
-                      .t_ns = rec_->RelNs(tf),
+                      .t_ns = rec_->RelNs(clock.at[kValidateEnd]),
                       .a = checker_->stable_edge_count(),
                       .b = 0,
                       .c = checker_->certified_T()});
@@ -390,10 +393,10 @@ class Engine final : private AdversaryView {
                              "(fail_fast_on_tinterval)");
       }
     }
-    const auto t2 = Clock::now();
+    clock.Stamp(kValidateEnd);
 
     StepProbes(g);
-    const auto t3 = Clock::now();
+    clock.Stamp(kProbeEnd);
 
     // Send phase: every node's message lands in its own raw outbox slot
     // (DirectSendProgram composes it in place; the generic path moves the
@@ -449,7 +452,7 @@ class Engine final : private AdversaryView {
     // The send window ends at the phase barrier (or the fused flip); the
     // shard merge below is engine bookkeeping and lands in other_ns, not
     // send_ns.
-    const auto t4 = Clock::now();
+    clock.Stamp(kSendEnd);
     std::int64_t round_sent = 0;
     const std::vector<ShardAccum>& send_accums =
         fused_consume ? staged_accum_ : shard_accum_;
@@ -477,13 +480,12 @@ class Engine final : private AdversaryView {
     if (stats_.bandwidth_violation.has_value()) {
       stats_.rounds = round_;
       finished_ = true;
-      AccumulateTimings(t0, t1, t2, t3, t4, t4, t4, Clock::now());
+      CloseRound(clock);
       if (rec_ != nullptr) {
         const BandwidthViolation& v = *stats_.bandwidth_violation;
-        EmitPhaseSpans(t0, t1, t2, t3, t4);
         rec_->Emit({.kind = obs::EventKind::kBandwidthViolation,
                     .round = round_,
-                    .t_ns = rec_->RelNs(t4),
+                    .t_ns = rec_->RelNs(clock.at[kSendEnd]),
                     .a = v.bits,
                     .b = v.node});
       }
@@ -505,11 +507,9 @@ class Engine final : private AdversaryView {
     if (prefetch_enabled_ && round_ < options_.max_rounds) {
       prefetch_pending_ = true;
       topo_lane_.Submit(util::UniqueTask([this, r = round_ + 1]() {
-        const auto p0 = std::chrono::steady_clock::now();
+        const auto p0 = Clock::now();
         ProduceTopology(r);
-        prefetch_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - p0)
-                           .count();
+        prefetch_ns_ = Ns(p0, Clock::now());
       }));
     }
 
@@ -541,7 +541,7 @@ class Engine final : private AdversaryView {
     // r+1's flip merges them. sends_per_node is deferred to the merge for
     // the same reason.
     const bool stage_next = fused_enabled_ && round_ < options_.max_rounds;
-    const auto t5 = Clock::now();
+    clock.Stamp(kDeliverBegin);
     // CI fault hook (SDN_FAULT_DELIVER_SLEEP_MS / SDN_FAULT_DELIVER_ROUND,
     // read once in EnsureStarted): stall the deliver window of one round so
     // the anomaly smoke test has a real spike to detect. Wall clock only —
@@ -629,7 +629,7 @@ class Engine final : private AdversaryView {
     staged_valid_ = stage_next;
     // Deliver window ends at the barrier; merge + decision bookkeeping are
     // other_ns.
-    const auto t6 = Clock::now();
+    clock.Stamp(kDeliverEnd);
     std::int64_t decided = 0;
     std::int64_t round_delivered = 0;
     for (const ShardAccum& acc : shard_accum_) {
@@ -649,35 +649,20 @@ class Engine final : private AdversaryView {
       finished_ = true;
       stats_.hit_max_rounds = true;
     }
-    const auto t7 = Clock::now();
-    AccumulateTimings(t0, t1, t2, t3, t4, t5, t6, t7);
+    CloseRound(clock);
 
     // Observability sinks run after the final clock read, so their cost
     // never lands in any timing bucket — and RunStats (including timings)
     // is identical with the sinks on or off.
-    if (rec_ != nullptr) {
-      ObserveRound(t0, t1, t2, t3, t4, t5, t6, round_delivered);
-    }
+    if (rec_ != nullptr) ObserveRound(clock, round_delivered);
     if (registry_ != nullptr) {
-      const auto ns = [](Clock::time_point a, Clock::time_point b) {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-            .count();
-      };
       hist_round_edges_->Observe(g.num_edges());
       hist_round_deliveries_->Observe(round_delivered);
-      hist_round_send_ns_->Observe(ns(t3, t4));
-      hist_round_deliver_ns_->Observe(ns(t5, t6));
-      hist_round_total_ns_->Observe(ns(t0, t7));
       if (anomaly_ != nullptr) {
         obs::RoundSignals sig;
         sig.round = round_;
-        sig.topology_ns = ns(t0, t1);
-        sig.validate_ns = ns(t1, t2);
-        sig.probe_ns = ns(t2, t3);
-        sig.send_ns = ns(t3, t4);
-        sig.deliver_ns = ns(t5, t6);
-        sig.total_ns = ns(t0, t7);
-        sig.aux_wait_ns = aux_wait_ns_round_;
+        sig.total_ns = clock.ns[kTotal];
+        sig.aux_wait_ns = clock.aux_wait_ns;
         // Under async certification the checker runs on its own lane and
         // reading it here would race; certified_T = -1 means "not sampled"
         // and the cert-regression rule skips the round. Recorder-attached
@@ -688,14 +673,14 @@ class Engine final : private AdversaryView {
           sig.first_bad_window = checker_->first_bad_window();
         }
         if (rec_ != nullptr) sig.recorder_dropped = rec_->dropped();
-        const std::array<obs::MemorySample, 6> mem = {{
+        // The gauges Step() sets every round. The checker's is set only by
+        // stats(), so a per-round sample of it would be stale.
+        const std::array<obs::MemorySample, 5> mem = {{
             {"outbox", mem_outbox_->current()},
             {"programs", mem_programs_->current()},
             {"topology", mem_topology_->current()},
             {"topology_scratch", mem_topology_scratch_->current()},
             {"adversary", mem_adversary_->current()},
-            {"checker",
-             mem_checker_ != nullptr ? mem_checker_->current() : 0},
         }};
         anomaly_->Observe(sig, mem);
       }
@@ -758,41 +743,6 @@ class Engine final : private AdversaryView {
         std::int64_t work = 0;
         for (const A& node : nodes_) work += node.ObsPhase().work;
         registry_->GetGauge("algo_work")->Set(work);
-      }
-      if (rec_ != nullptr) {
-        // Per-lane ring losses. Emission counts follow the recorded event
-        // stream, which can depend on wall-clock sampling — flagged
-        // non-deterministic so the on/off determinism comparisons ignore
-        // them (and their presence).
-        for (int lane = 0; lane < rec_->lanes(); ++lane) {
-          registry_
-              ->GetGauge("recorder_lane" + std::to_string(lane) + "_dropped",
-                         /*deterministic=*/false)
-              ->Set(static_cast<std::int64_t>(rec_->dropped_lane(lane)));
-        }
-      }
-      if (anomaly_ != nullptr) {
-        // Pipeline health tracks: the rolling windows' p99s, mirrored as
-        // gauges so the exposition endpoint (and RunStats::metrics) carry
-        // the anomaly plane's live view of each phase. Wall-clock valued —
-        // non-deterministic by construction.
-        using Track = obs::AnomalyEngine::Track;
-        static constexpr struct {
-          Track track;
-          const char* name;
-        } kTracks[] = {
-            {Track::kTopology, "rolling_topology_ns_p99"},
-            {Track::kValidate, "rolling_validate_ns_p99"},
-            {Track::kProbe, "rolling_probe_ns_p99"},
-            {Track::kSend, "rolling_send_ns_p99"},
-            {Track::kDeliver, "rolling_deliver_ns_p99"},
-            {Track::kTotal, "rolling_total_ns_p99"},
-            {Track::kAuxWait, "rolling_aux_wait_ns_p99"},
-        };
-        for (const auto& t : kTracks) {
-          registry_->GetGauge(t.name, /*deterministic=*/false)
-              ->Set(anomaly_->hist(t.track).Quantile(0.99));
-        }
       }
       out.metrics = registry_->Snapshot();
     }
@@ -859,6 +809,67 @@ class Engine final : private AdversaryView {
     std::int64_t violation_bits = 0;
   };
 
+  using Clock = std::chrono::steady_clock;
+  static std::int64_t Ns(Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count();
+  }
+
+  /// The boundaries Step() stamps, in order. The deliver window opens at
+  /// kDeliverBegin, not kSendEnd: the send merge and the prefetch launch
+  /// sit between them.
+  enum Mark : int {
+    kStart,
+    kTopologyEnd,
+    kValidateEnd,
+    kProbeEnd,
+    kSendEnd,
+    kDeliverBegin,
+    kDeliverEnd,
+    kEnd,
+    kNumMarks,
+  };
+
+  /// The phase table: one row per timed phase, with its kPhase span label
+  /// (null: no span), its registry histogram, its EngineTimings field and
+  /// its clock window. other has no window; CloseRound sets it to the
+  /// residual.
+  struct PhaseRow {
+    const char* span;
+    const char* histogram;
+    std::int64_t EngineTimings::*field;
+    Mark begin;
+    Mark end;
+  };
+  static constexpr std::array<PhaseRow, 7> kPhases = {{
+      {"topology", "round_topology_ns", &EngineTimings::topology_ns, kStart,
+       kTopologyEnd},
+      {"validate", "round_validate_ns", &EngineTimings::validate_ns,
+       kTopologyEnd, kValidateEnd},
+      {"probe", "round_probe_ns", &EngineTimings::probe_ns, kValidateEnd,
+       kProbeEnd},
+      {"send", "round_send_ns", &EngineTimings::send_ns, kProbeEnd, kSendEnd},
+      {"deliver", "round_deliver_ns", &EngineTimings::deliver_ns,
+       kDeliverBegin, kDeliverEnd},
+      {nullptr, "round_other_ns", &EngineTimings::other_ns, kEnd, kEnd},
+      {nullptr, "round_total_ns", &EngineTimings::total_ns, kStart, kEnd},
+  }};
+  static constexpr std::size_t kOther = 5;
+  static constexpr std::size_t kTotal = 6;
+
+  /// One round's clock: each boundary read once, the topology lane's join
+  /// wait, and the per-phase durations CloseRound derives from them.
+  struct RoundClock {
+    std::array<Clock::time_point, kNumMarks> at{};
+    Mark last = kStart;  // the last boundary stamped
+    std::int64_t aux_wait_ns = 0;
+    std::array<std::int64_t, kPhases.size()> ns{};
+
+    void Stamp(Mark m) {
+      at[m] = Clock::now();
+      last = m;
+    }
+  };
+
   // AdversaryView:
   [[nodiscard]] std::int64_t round() const override { return round_; }
   [[nodiscard]] double PublicState(graph::NodeId u) const override {
@@ -867,22 +878,6 @@ class Engine final : private AdversaryView {
   }
   [[nodiscard]] bool prefetches_topology() const override {
     return prefetch_enabled_;
-  }
-
-  /// Joins the topology lane; with the anomaly plane on, the wait is
-  /// clocked into this round's aux-stall signal (two extra steady_clock
-  /// reads inside the topology window — wall-clock observation only, no
-  /// deterministic state touched).
-  void DrainTopoLane() {
-    if (anomaly_ == nullptr) {
-      topo_lane_.Drain();
-      return;
-    }
-    const auto w0 = std::chrono::steady_clock::now();
-    topo_lane_.Drain();
-    aux_wait_ns_round_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - w0)
-                              .count();
   }
 
   /// Produces round r's topology for the topology section of Step, which
@@ -923,40 +918,38 @@ class Engine final : private AdversaryView {
     }
   }
 
-  /// Named windows: topology t0..t1, validate t1..t2, probe t2..t3, send
-  /// t3..t4 (the ForShards barrier only), deliver t5..t6 (ditto); t7 is the
-  /// final clock read. other_ns is the residual — everything between the
-  /// named windows (shard merges, stats bookkeeping, prefetch launches) —
-  /// constructed as total minus the named phases so the partition identity
-  /// topology+validate+probe+send+deliver+other == total holds exactly
-  /// (debug-asserted below, pinned by test_bandwidth_metrics).
-  void AccumulateTimings(std::chrono::steady_clock::time_point t0,
-                         std::chrono::steady_clock::time_point t1,
-                         std::chrono::steady_clock::time_point t2,
-                         std::chrono::steady_clock::time_point t3,
-                         std::chrono::steady_clock::time_point t4,
-                         std::chrono::steady_clock::time_point t5,
-                         std::chrono::steady_clock::time_point t6,
-                         std::chrono::steady_clock::time_point t7) {
-    const auto ns = [](std::chrono::steady_clock::time_point a,
-                       std::chrono::steady_clock::time_point b) {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-          .count();
-    };
-    const std::int64_t topology = ns(t0, t1);
-    const std::int64_t validate = ns(t1, t2);
-    const std::int64_t probe = ns(t2, t3);
-    const std::int64_t send = ns(t3, t4);
-    const std::int64_t deliver = ns(t5, t6);
-    const std::int64_t total = ns(t0, t7);
-    stats_.timings.topology_ns += topology;
-    stats_.timings.validate_ns += validate;
-    stats_.timings.probe_ns += probe;
-    stats_.timings.send_ns += send;
-    stats_.timings.deliver_ns += deliver;
-    stats_.timings.other_ns +=
-        total - (topology + validate + probe + send + deliver);
-    stats_.timings.total_ns += total;
+  /// Closes the round's clock and feeds its durations to the timing
+  /// sinks: RunStats::timings, the registry's round_<phase>_ns histograms
+  /// (plus round_aux_wait_ns) and the recorder's kPhase spans; the anomaly
+  /// plane reads clock.ns[kTotal] after it. Every exit of Step() calls it
+  /// once. An aborted round's unopened windows collapse to zero and get no
+  /// span. other is the residual, total minus the five named windows, so
+  /// the phases partition total exactly (debug-asserted below, pinned by
+  /// test_bandwidth_metrics).
+  void CloseRound(RoundClock& clock) {
+    const Mark reached = clock.last;
+    std::fill(clock.at.begin() + reached + 1, clock.at.begin() + kEnd,
+              clock.at[reached]);
+    clock.Stamp(kEnd);
+    std::int64_t named = 0;
+    for (std::size_t i = 0; i < kPhases.size(); ++i) {
+      clock.ns[i] = Ns(clock.at[kPhases[i].begin], clock.at[kPhases[i].end]);
+      if (i < kOther) named += clock.ns[i];
+    }
+    clock.ns[kOther] = clock.ns[kTotal] - named;
+    for (std::size_t i = 0; i < kPhases.size(); ++i) {
+      const PhaseRow& row = kPhases[i];
+      stats_.timings.*row.field += clock.ns[i];
+      if (registry_ != nullptr) hist_phase_[i]->Observe(clock.ns[i]);
+      if (rec_ != nullptr && row.span != nullptr && row.end <= reached) {
+        rec_->Emit({.kind = obs::EventKind::kPhase,
+                    .round = round_,
+                    .t_ns = rec_->RelNs(clock.at[row.begin]),
+                    .dur_ns = clock.ns[i],
+                    .label = row.span});
+      }
+    }
+    if (registry_ != nullptr) hist_aux_wait_ns_->Observe(clock.aux_wait_ns);
 #ifndef NDEBUG
     const EngineTimings& tm = stats_.timings;
     SDN_CHECK_MSG(tm.topology_ns + tm.validate_ns + tm.probe_ns + tm.send_ns +
@@ -966,47 +959,12 @@ class Engine final : private AdversaryView {
 #endif
   }
 
-  /// Emits this round's engine-phase spans (kPhase) — the deliver window is
-  /// included only when the round got that far.
-  void EmitPhaseSpans(std::chrono::steady_clock::time_point t0,
-                      std::chrono::steady_clock::time_point t1,
-                      std::chrono::steady_clock::time_point t2,
-                      std::chrono::steady_clock::time_point t3,
-                      std::chrono::steady_clock::time_point t4,
-                      std::optional<std::chrono::steady_clock::time_point> t5 =
-                          std::nullopt,
-                      std::optional<std::chrono::steady_clock::time_point> t6 =
-                          std::nullopt) {
-    const auto span = [this](const char* label,
-                             std::chrono::steady_clock::time_point a,
-                             std::chrono::steady_clock::time_point b) {
-      rec_->Emit({.kind = obs::EventKind::kPhase,
-                  .round = round_,
-                  .t_ns = rec_->RelNs(a),
-                  .dur_ns = rec_->RelNs(b) - rec_->RelNs(a),
-                  .label = label});
-    };
-    span("topology", t0, t1);
-    span("validate", t1, t2);
-    span("probe", t2, t3);
-    span("send", t3, t4);
-    if (t5.has_value() && t6.has_value()) span("deliver", *t5, *t6);
-  }
-
-  /// Per-round flight-recorder emission (rec_ != nullptr only): phase
-  /// spans, the algorithm-phase track sampled from node 0, sketch-merge
-  /// progress summed over nodes, checker window state, and bandwidth
-  /// high-water marks. Runs after the round's final clock read.
-  void ObserveRound(std::chrono::steady_clock::time_point t0,
-                    std::chrono::steady_clock::time_point t1,
-                    std::chrono::steady_clock::time_point t2,
-                    std::chrono::steady_clock::time_point t3,
-                    std::chrono::steady_clock::time_point t4,
-                    std::chrono::steady_clock::time_point t5,
-                    std::chrono::steady_clock::time_point t6,
-                    std::int64_t round_delivered) {
-    EmitPhaseSpans(t0, t1, t2, t3, t4, t5, t6);
-    const std::int64_t now = rec_->RelNs(t6);
+  /// Per-round flight-recorder emission (rec_ != nullptr only) after
+  /// CloseRound's phase spans: the algorithm-phase track sampled from
+  /// node 0, sketch-merge progress summed over nodes, checker window
+  /// state, and bandwidth high-water marks.
+  void ObserveRound(const RoundClock& clock, std::int64_t round_delivered) {
+    const std::int64_t now = rec_->RelNs(clock.at[kDeliverEnd]);
     if constexpr (ObservableProgram<A>) {
       // The run-level track samples node 0 (all nodes follow the same
       // global schedule; divergence is exactly what the alarm machinery
@@ -1071,12 +1029,12 @@ class Engine final : private AdversaryView {
       registry_ = std::make_unique<obs::MetricsRegistry>();
       hist_round_edges_ = registry_->GetHistogram("round_edges");
       hist_round_deliveries_ = registry_->GetHistogram("round_deliveries");
-      hist_round_send_ns_ =
-          registry_->GetHistogram("round_send_ns", /*deterministic=*/false);
-      hist_round_deliver_ns_ =
-          registry_->GetHistogram("round_deliver_ns", /*deterministic=*/false);
-      hist_round_total_ns_ =
-          registry_->GetHistogram("round_total_ns", /*deterministic=*/false);
+      for (std::size_t i = 0; i < kPhases.size(); ++i) {
+        hist_phase_[i] = registry_->GetHistogram(kPhases[i].histogram,
+                                                 /*deterministic=*/false);
+      }
+      hist_aux_wait_ns_ =
+          registry_->GetHistogram("round_aux_wait_ns", /*deterministic=*/false);
       if (options_.anomaly) {
         anomaly_ = std::make_unique<obs::AnomalyEngine>(
             options_.anomaly_options, registry_.get(), rec_);
@@ -1105,13 +1063,12 @@ class Engine final : private AdversaryView {
     // materialized for it at all — the topology hot path stays identical
     // to an unvalidated run. A run certified this way took about half the
     // wall time of a delta-checker run at n=1024 and about a tenth at
-    // n=65536 (docs/PERF.md "Certification"). The delta checker runs
-    // instead when a flight recorder is attached (its kCheckerWindow track
-    // reads the delta path's stable_edge_count) or a trace recorder forces
-    // deltas anyway.
+    // n=65536 (docs/PERF.md "Certification"). Observers keep the witness
+    // path: a flight recorder's kCheckerWindow track then carries
+    // stable_edge_count() = -1, and a trace recorder gets its deltas
+    // through need_delta_.
     use_composition_ = checker_.has_value() && incremental_ &&
-                       adversary_.has_composition() && rec_ == nullptr &&
-                       options_.record_trace == nullptr;
+                       adversary_.has_composition();
     // Deltas are materialized whenever something consumes them: the
     // delta-driven checker or a trace recorder. ProduceTopology derives
     // the delta with one DiffSorted when the adversary assigned the round
@@ -1369,15 +1326,11 @@ class Engine final : private AdversaryView {
   std::unique_ptr<obs::MetricsRegistry> registry_;
   obs::Histogram* hist_round_edges_ = nullptr;
   obs::Histogram* hist_round_deliveries_ = nullptr;
-  obs::Histogram* hist_round_send_ns_ = nullptr;
-  obs::Histogram* hist_round_deliver_ns_ = nullptr;
-  obs::Histogram* hist_round_total_ns_ = nullptr;
+  std::array<obs::Histogram*, kPhases.size()> hist_phase_{};  // per kPhases
+  obs::Histogram* hist_aux_wait_ns_ = nullptr;
   /// Anomaly plane (EngineOptions::anomaly, behind the registry gate).
   /// Observed after the final clock read; never consulted by the engine.
   std::unique_ptr<obs::AnomalyEngine> anomaly_;
-  /// This round's auxiliary-lane drain wait (anomaly signal; reset per
-  /// Step, accumulated by DrainTopoLane).
-  std::int64_t aux_wait_ns_round_ = 0;
   /// CI fault hook (SDN_FAULT_DELIVER_SLEEP_MS / SDN_FAULT_DELIVER_ROUND,
   /// read once in EnsureStarted): wall-clock stall of one deliver window.
   std::int64_t fault_sleep_ms_ = 0;

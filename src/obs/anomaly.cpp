@@ -28,14 +28,12 @@ const char* ToString(AnomalyRule rule) {
 
 AnomalyEngine::AnomalyEngine(AnomalyOptions options, MetricsRegistry* registry,
                              const FlightRecorder* recorder)
-    : options_(std::move(options)), registry_(registry), recorder_(recorder) {
-  SDN_CHECK(options_.window >= 1);
+    : options_(std::move(options)),
+      registry_(registry),
+      recorder_(recorder),
+      totals_(options_.window) {
   SDN_CHECK(options_.min_samples >= 1);
   SDN_CHECK(options_.spike_factor >= 1.0);
-  hists_.reserve(kNumTracks);
-  for (int t = 0; t < kNumTracks; ++t) {
-    hists_.emplace_back(options_.window);
-  }
   for (std::int64_t& r : last_fired_round_) r = -1;
   if (registry_ != nullptr) {
     // Firing depends on wall clock, so every instrument is
@@ -52,11 +50,10 @@ AnomalyEngine::AnomalyEngine(AnomalyOptions options, MetricsRegistry* registry,
 
 void AnomalyEngine::Observe(const RoundSignals& s,
                             std::span<const MemorySample> memory) {
-  // Rule evaluation reads the windows *before* this round is folded in —
+  // Rule evaluation reads the window *before* this round is folded in —
   // the round under test must not be its own baseline.
-  const RollingHist& total_hist = hists_[kTotal];
-  if (total_hist.count() >= options_.min_samples) {
-    const std::int64_t p99 = total_hist.Quantile(0.99);
+  if (totals_.count() >= options_.min_samples) {
+    const std::int64_t p99 = totals_.Quantile(0.99);
     const std::int64_t threshold =
         std::max(options_.spike_floor_ns,
                  static_cast<std::int64_t>(
@@ -120,8 +117,8 @@ void AnomalyEngine::Observe(const RoundSignals& s,
 
   if (s.recorder_dropped > last_dropped_) {
     if (last_dropped_ == 0) {
-      // Onset only: once the ring wraps it keeps wrapping every round; the
-      // per-lane drop gauges carry the running count.
+      // Onset only: once the ring wraps it keeps wrapping every round;
+      // RunStats::recorder_dropped carries the running count.
       Fire(AnomalyRule::kRecorderDropOnset, s.round,
            static_cast<std::int64_t>(s.recorder_dropped), 0,
            "recorder_dropped");
@@ -129,13 +126,7 @@ void AnomalyEngine::Observe(const RoundSignals& s,
     last_dropped_ = s.recorder_dropped;
   }
 
-  hists_[kTopology].Observe(s.topology_ns);
-  hists_[kValidate].Observe(s.validate_ns);
-  hists_[kProbe].Observe(s.probe_ns);
-  hists_[kSend].Observe(s.send_ns);
-  hists_[kDeliver].Observe(s.deliver_ns);
-  hists_[kTotal].Observe(s.total_ns);
-  hists_[kAuxWait].Observe(s.aux_wait_ns);
+  totals_.Observe(s.total_ns);
 }
 
 void AnomalyEngine::Fire(AnomalyRule rule, std::int64_t round,

@@ -3,9 +3,9 @@
 // The flight recorder (obs/recorder.hpp) only helps if a human remembers to
 // attach it and stare at the trace. The anomaly engine is the always-on
 // counterpart: the engine feeds it one RoundSignals record per round (on the
-// observation side of Step(), after the final clock read), it maintains
-// rolling per-phase latency windows (obs/rolling_hist.hpp), and a small set
-// of declarative rules fire typed AnomalyRecords when the run misbehaves:
+// observation side of Step(), after the final clock read), it keeps one
+// rolling window of round totals (obs/rolling_hist.hpp), and a small set of
+// declarative rules fire typed AnomalyRecords when the run misbehaves:
 //
 //   rule                  | windowed signal          | trigger
 //   ----------------------|--------------------------|--------------------------
@@ -72,7 +72,8 @@ struct AnomalyRecord {
 };
 
 struct AnomalyOptions {
-  /// Rolling window, in rounds, for every per-phase latency histogram.
+  /// Rolling window, in rounds, of the round totals kRoundTimeSpike
+  /// judges against.
   int window = 64;
   /// kRoundTimeSpike arms only after this many rounds seeded the window
   /// (a spike vs an empty baseline is meaningless); kMemoryJump only after
@@ -106,11 +107,7 @@ struct AnomalyOptions {
 /// One round's signals, sampled by the engine after the final clock read.
 struct RoundSignals {
   std::int64_t round = 0;
-  std::int64_t topology_ns = 0;
-  std::int64_t validate_ns = 0;
-  std::int64_t probe_ns = 0;
-  std::int64_t send_ns = 0;
-  std::int64_t deliver_ns = 0;
+  /// The round's wall time, as EngineTimings::total_ns accumulates it.
   std::int64_t total_ns = 0;
   /// Wait spent joining the auxiliary topology lane this round (0 when the
   /// prefetch overlap is off or the lane was already done).
@@ -132,18 +129,6 @@ struct MemorySample {
 
 class AnomalyEngine {
  public:
-  /// Rolling-histogram tracks, one per phase signal.
-  enum Track {
-    kTopology = 0,
-    kValidate,
-    kProbe,
-    kSend,
-    kDeliver,
-    kTotal,
-    kAuxWait,
-    kNumTracks,
-  };
-
   /// `registry` (optional) receives non-deterministic counters —
   /// `anomalies_total` plus one `anomaly_<rule>` per rule — registered up
   /// front so exporters see a stable series even before anything fires.
@@ -155,7 +140,8 @@ class AnomalyEngine {
   AnomalyEngine(const AnomalyEngine&) = delete;
   AnomalyEngine& operator=(const AnomalyEngine&) = delete;
 
-  /// Feeds one round: updates every rolling track, evaluates every rule.
+  /// Feeds one round: evaluates every rule, then folds the round's total
+  /// into the rolling window.
   void Observe(const RoundSignals& signals,
                std::span<const MemorySample> memory);
 
@@ -165,9 +151,6 @@ class AnomalyEngine {
   /// Total rule firings, including those past max_records.
   [[nodiscard]] std::int64_t total_fired() const { return total_fired_; }
   [[nodiscard]] int dumps_written() const { return dumps_written_; }
-  [[nodiscard]] const RollingHist& hist(Track track) const {
-    return hists_[static_cast<std::size_t>(track)];
-  }
   [[nodiscard]] const AnomalyOptions& options() const { return options_; }
 
  private:
@@ -184,7 +167,7 @@ class AnomalyEngine {
   AnomalyOptions options_;
   MetricsRegistry* registry_;
   const FlightRecorder* recorder_;
-  std::vector<RollingHist> hists_;     // kNumTracks, sized in the ctor
+  RollingHist totals_;                 // round total_ns, kRoundTimeSpike
   std::vector<GaugeTrack> gauges_;     // per-subsystem high-water marks
   std::vector<AnomalyRecord> records_;
   std::int64_t total_fired_ = 0;

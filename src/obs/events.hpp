@@ -34,8 +34,10 @@ enum class EventKind : std::uint8_t {
   /// nodes, b = merges this round.
   kSketchMerge = 4,
   /// Streaming T-interval checker state after this round: a = stable
-  /// (aged-into-every-window) edge count, b = 1 while the promise holds,
-  /// c = certified-T (largest T' the observed stream satisfies so far).
+  /// (aged-into-every-window) edge count, or -1 on the witness path, which
+  /// certifies windows without materializing their intersection;
+  /// b = 1 while the promise holds, c = certified-T (largest T' the
+  /// observed stream satisfies so far).
   kCheckerWindow = 5,
   /// The per-message bit high-water mark rose: a = new max message bits.
   kBandwidthHighWater = 6,
@@ -51,8 +53,6 @@ const char* ToString(EventKind kind);
 
 struct Event {
   EventKind kind = EventKind::kCounter;
-  /// Recorder lane the event was written to (stamped by the recorder).
-  std::uint8_t lane = 0;
   /// Engine round the event belongs to (0 = before round 1).
   std::int64_t round = 0;
   /// Nanoseconds since the recorder's epoch (FlightRecorder::RelNs).

@@ -33,65 +33,36 @@ const char* ToString(EventKind kind) {
   return "?";
 }
 
-FlightRecorder::FlightRecorder(int lanes, std::size_t lane_capacity)
-    : epoch_(std::chrono::steady_clock::now()), capacity_(lane_capacity) {
-  SDN_CHECK(lanes >= 1 && lanes <= 256);
+FlightRecorder::FlightRecorder(std::size_t capacity)
+    : epoch_(std::chrono::steady_clock::now()), capacity_(capacity) {
   SDN_CHECK(capacity_ >= 1);
-  lanes_.resize(static_cast<std::size_t>(lanes));
-  for (Lane& lane : lanes_) lane.ring.reserve(std::min(capacity_, {1024}));
+  ring_.reserve(std::min(capacity_, {1024}));
 }
 
-void FlightRecorder::EmitLane(int lane, Event e) {
-  if (lane < 0 || lane >= lanes()) lane = 0;
-  Lane& l = lanes_[static_cast<std::size_t>(lane)];
-  e.lane = static_cast<std::uint8_t>(lane);
-  const std::size_t slot = static_cast<std::size_t>(l.emitted % capacity_);
-  if (slot < l.ring.size()) {
-    l.ring[slot] = e;  // wraparound: overwrite the oldest event
+void FlightRecorder::Emit(const Event& e) {
+  const std::size_t slot = static_cast<std::size_t>(emitted_ % capacity_);
+  if (slot < ring_.size()) {
+    ring_[slot] = e;  // wraparound: overwrite the oldest event
   } else {
-    l.ring.push_back(e);
+    ring_.push_back(e);
   }
-  ++l.emitted;
-}
-
-std::uint64_t FlightRecorder::total_emitted() const {
-  std::uint64_t total = 0;
-  for (const Lane& l : lanes_) total += l.emitted;
-  return total;
-}
-
-std::uint64_t FlightRecorder::dropped() const {
-  std::uint64_t dropped = 0;
-  for (const Lane& l : lanes_) {
-    if (l.emitted > capacity_) dropped += l.emitted - capacity_;
-  }
-  return dropped;
-}
-
-std::uint64_t FlightRecorder::dropped_lane(int lane) const {
-  if (lane < 0 || lane >= lanes()) return 0;
-  const Lane& l = lanes_[static_cast<std::size_t>(lane)];
-  return l.emitted > capacity_ ? l.emitted - capacity_ : 0;
+  ++emitted_;
 }
 
 std::vector<Event> FlightRecorder::Drain() const {
+  // Once the ring wrapped, emission order starts at the write cursor.
+  const std::size_t head = emitted_ <= capacity_
+                               ? 0
+                               : static_cast<std::size_t>(emitted_ % capacity_);
   std::vector<Event> out;
-  out.reserve(static_cast<std::size_t>(total_emitted() - dropped()));
-  for (const Lane& l : lanes_) {
-    if (l.emitted <= capacity_) {
-      out.insert(out.end(), l.ring.begin(), l.ring.end());
-    } else {
-      // The ring wrapped: chronological order starts at the write cursor.
-      const std::size_t head = static_cast<std::size_t>(l.emitted % capacity_);
-      out.insert(out.end(), l.ring.begin() + static_cast<std::ptrdiff_t>(head),
-                 l.ring.end());
-      out.insert(out.end(), l.ring.begin(),
-                 l.ring.begin() + static_cast<std::ptrdiff_t>(head));
-    }
-  }
+  out.reserve(ring_.size());
+  out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head),
+             ring_.end());
+  out.insert(out.end(), ring_.begin(),
+             ring_.begin() + static_cast<std::ptrdiff_t>(head));
+  // Spans are emitted when they close, after events stamped inside them.
   std::stable_sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
-    if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
-    return a.lane < b.lane;
+    return a.t_ns < b.t_ns;
   });
   return out;
 }
@@ -103,11 +74,11 @@ void FlightRecorder::WriteJsonl(std::ostream& os,
        << "}\n";
   }
   os << "{\"type\":\"meta\",\"emitted\":" << total_emitted()
-     << ",\"dropped\":" << dropped() << ",\"lanes\":" << lanes() << "}\n";
+     << ",\"dropped\":" << dropped() << "}\n";
   for (const Event& e : Drain()) {
     os << "{\"type\":\"event\",\"kind\":\"" << ToString(e.kind)
        << "\",\"label\":\"" << e.label << "\",\"round\":" << e.round
-       << ",\"lane\":" << static_cast<int>(e.lane) << ",\"t_ns\":" << e.t_ns;
+       << ",\"t_ns\":" << e.t_ns;
     if (e.dur_ns != 0) os << ",\"dur_ns\":" << e.dur_ns;
     os << ",\"a\":" << e.a << ",\"b\":" << e.b;
     if (e.c != 0) os << ",\"c\":" << e.c;

@@ -1,21 +1,22 @@
-// Flight recorder: lock-free per-lane ring buffers of typed round events.
+// Flight recorder: a lock-free single-writer ring buffer of typed round
+// events.
 //
-// The engine (and any harness) emits Events into lanes; each lane is a
-// fixed-capacity single-writer ring, so emission is a bounded store with no
-// locks, no allocation, and no syscalls — cheap enough to leave wired into
-// Engine::Step. The sink is *off by default*: every emission site is gated
-// on a null recorder pointer (the SDN_VERIFY_SORTED pattern applied to
-// tracing), so a run without a recorder pays one predicted branch per phase
-// and nothing else. Determinism tests pin that RunStats are bit-identical
-// with the recorder attached or not.
+// The engine (and any harness) emits Events from one thread into a
+// fixed-capacity ring, so emission is a bounded store with no locks, no
+// syscalls, and no allocation once the ring has grown to its capacity —
+// cheap enough to leave wired into Engine::Step. The sink is *off by
+// default*: every emission site is gated on a null recorder pointer (the
+// SDN_VERIFY_SORTED pattern applied to tracing), so a run without a
+// recorder pays one predicted branch per phase and nothing else.
+// Determinism tests pin that RunStats are bit-identical with the recorder
+// attached or not.
 //
-// When a ring fills, the oldest events are overwritten (flight-recorder
-// semantics: the most recent window of the run survives); the per-lane drop
-// count is reported so a truncated trace is never mistaken for a complete
-// one.
+// When the ring fills, the oldest events are overwritten (flight-recorder
+// semantics: the most recent window of the run survives); the drop count is
+// reported so a truncated trace is never mistaken for a complete one.
 //
-// Drain() merges the lanes chronologically; WriteJsonl / WriteChromeTrace
-// export the merged stream — the latter in the Chrome trace-event format
+// Drain() returns the retained events in time order; WriteJsonl /
+// WriteChromeTrace export them — the latter in the Chrome trace-event format
 // that chrome://tracing and Perfetto load directly, with engine phases,
 // an algorithm-phase track, probe instants, and counter tracks
 // (docs/OBSERVABILITY.md documents both schemas).
@@ -35,18 +36,14 @@ struct RunManifest;
 
 class FlightRecorder {
  public:
-  static constexpr std::size_t kDefaultLaneCapacity = std::size_t{1} << 16;
+  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
 
-  /// `lanes` independent single-writer rings of `lane_capacity` events each.
-  /// The epoch (t = 0) is the moment of construction.
-  explicit FlightRecorder(int lanes = 1,
-                          std::size_t lane_capacity = kDefaultLaneCapacity);
+  /// One ring of `capacity` events. The epoch (t = 0) is the moment of
+  /// construction.
+  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  [[nodiscard]] int lanes() const { return static_cast<int>(lanes_.size()); }
-  [[nodiscard]] std::size_t lane_capacity() const { return capacity_; }
 
   /// Nanoseconds since the recorder epoch (for stamping Event::t_ns).
   [[nodiscard]] std::int64_t NowNs() const {
@@ -58,21 +55,18 @@ class FlightRecorder {
         .count();
   }
 
-  /// Appends to lane 0. Single writer per lane: two threads may emit
-  /// concurrently only into *different* lanes.
-  void Emit(const Event& e) { EmitLane(0, e); }
-  /// Appends to `lane` (stamps Event::lane). Out-of-range lanes clamp to 0.
-  void EmitLane(int lane, Event e);
+  /// Appends `e`, overwriting the oldest event once the ring is full.
+  /// Single writer: one thread emits at a time.
+  void Emit(const Event& e);
 
-  /// Events emitted / overwritten-by-wraparound across all lanes.
-  [[nodiscard]] std::uint64_t total_emitted() const;
-  [[nodiscard]] std::uint64_t dropped() const;
-  /// Overwritten-by-wraparound count of one lane (0 for out-of-range
-  /// lanes) — the per-lane drop gauges the engine mirrors into the metrics
-  /// registry read this.
-  [[nodiscard]] std::uint64_t dropped_lane(int lane) const;
+  /// Events emitted / overwritten by wraparound.
+  [[nodiscard]] std::uint64_t total_emitted() const { return emitted_; }
+  [[nodiscard]] std::uint64_t dropped() const {
+    return emitted_ > capacity_ ? emitted_ - capacity_ : 0;
+  }
 
-  /// All retained events, merged across lanes in (t_ns, lane) order.
+  /// All retained events, in t_ns order (emission order among equal
+  /// stamps).
   [[nodiscard]] std::vector<Event> Drain() const;
 
   /// One JSON object per line: a `manifest` record first (when given), a
@@ -93,14 +87,10 @@ class FlightRecorder {
                         const RunManifest* manifest = nullptr) const;
 
  private:
-  struct Lane {
-    std::vector<Event> ring;    // capacity_ slots, written modulo capacity_
-    std::uint64_t emitted = 0;  // total Emit calls into this lane
-  };
-
   std::chrono::steady_clock::time_point epoch_;
   std::size_t capacity_;
-  std::vector<Lane> lanes_;
+  std::vector<Event> ring_;  // capacity_ slots, written modulo capacity_
+  std::uint64_t emitted_ = 0;
 };
 
 }  // namespace sdn::obs

@@ -1,11 +1,11 @@
-// Rolling per-round latency histogram: the anomaly plane's windowed signal.
+// Rolling per-round histogram: the anomaly plane's windowed signal.
 //
 // obs::Histogram accumulates forever — right for end-of-run summaries, wrong
 // for "is this round unusual *lately*": a spike detector comparing against a
 // whole-run p99 goes blind after the first slow warmup rounds. RollingHist
-// keeps the same 64 log2 buckets over only the last `window` observations,
-// evicting the oldest value as each new one arrives, so quantiles always
-// describe the recent regime.
+// keeps obs::Histogram's log2 buckets (obs/registry.hpp) over only the last
+// `window` observations, evicting the oldest value as each new one arrives,
+// so quantiles always describe the recent regime.
 //
 // Footprint is fixed at construction: one `window`-slot ring of raw values
 // plus the bucket array. Observe() is two bucket increments/decrements and a
@@ -15,22 +15,19 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "util/check.hpp"
 
 namespace sdn::obs {
 
 class RollingHist {
  public:
-  static constexpr int kBuckets = 64;
-
-  explicit RollingHist(int window = 64)
-      : window_(window), ring_(static_cast<std::size_t>(window), 0) {
+  explicit RollingHist(int window = 64) : window_(window) {
     SDN_CHECK(window >= 1);
+    ring_.assign(static_cast<std::size_t>(window), 0);
   }
 
   /// Adds `value`, evicting the oldest observation once the window is full.
@@ -38,13 +35,13 @@ class RollingHist {
     const std::size_t slot = static_cast<std::size_t>(head_);
     if (filled_ == window_) {
       const std::int64_t old = ring_[slot];
-      --buckets_[static_cast<std::size_t>(BucketOf(old))];
+      --buckets_[static_cast<std::size_t>(Log2Bucket(old))];
       sum_ -= old;
     } else {
       ++filled_;
     }
     ring_[slot] = value;
-    ++buckets_[static_cast<std::size_t>(BucketOf(value))];
+    ++buckets_[static_cast<std::size_t>(Log2Bucket(value))];
     sum_ += value;
     head_ = (head_ + 1) % window_;
     ++total_observed_;
@@ -58,48 +55,26 @@ class RollingHist {
   /// Sum over the current window only.
   [[nodiscard]] std::int64_t sum() const { return sum_; }
 
-  /// q in [0, 1] over the current window; geometric interpolation inside
-  /// the log2 bucket (same shape as obs::Histogram::Quantile), clamped to
-  /// the bucket's own value range. 0 when empty.
+  /// q in [0, 1] over the current window: Log2Quantile's estimate clamped
+  /// to the bucket's own span [2^(b-1), 2^b - 1] (a window keeps no
+  /// min/max under eviction). 0 when empty.
   [[nodiscard]] std::int64_t Quantile(double q) const {
-    if (filled_ == 0) return 0;
-    q = std::clamp(q, 0.0, 1.0);
-    const double target = q * static_cast<double>(filled_);
-    std::int64_t seen = 0;
-    for (int b = 0; b < kBuckets; ++b) {
-      const std::int64_t in_bucket = buckets_[static_cast<std::size_t>(b)];
-      if (in_bucket == 0) continue;
-      if (static_cast<double>(seen + in_bucket) >= target) {
-        if (b == 0) return 0;
-        const double lo = std::ldexp(1.0, b - 1);
-        const double frac = (target - static_cast<double>(seen)) /
-                            static_cast<double>(in_bucket);
-        const double est = lo * std::pow(2.0, frac);
-        const auto v = static_cast<std::int64_t>(std::llround(est));
-        // Clamp to the bucket's own span: [2^(b-1), 2^b - 1].
-        const std::int64_t hi = (std::int64_t{1} << b) - 1;
-        return std::clamp<std::int64_t>(v, static_cast<std::int64_t>(lo), hi);
-      }
-      seen += in_bucket;
-    }
-    return 0;  // unreachable: filled_ > 0 guarantees a bucket is hit
+    const Log2Rank rank = Log2Quantile(buckets_, filled_, q);
+    if (rank.bucket == 0) return 0;
+    const std::int64_t lo = std::int64_t{1} << (rank.bucket - 1);
+    const auto hi =
+        static_cast<std::int64_t>((std::uint64_t{1} << rank.bucket) - 1);
+    return std::clamp(rank.estimate, lo, hi);
   }
 
  private:
-  /// Bucket 0 holds exactly {0} (and clamped negatives); bucket b >= 1
-  /// holds [2^(b-1), 2^b - 1] — identical to obs::Histogram's layout.
-  static int BucketOf(std::int64_t value) {
-    if (value <= 0) return 0;
-    return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(value)));
-  }
-
   int window_;
   int head_ = 0;                 // next ring slot to write
   std::int64_t filled_ = 0;      // observations currently in the window
   std::int64_t total_observed_ = 0;
   std::int64_t sum_ = 0;
   std::vector<std::int64_t> ring_;  // sized once in the constructor
-  std::int64_t buckets_[kBuckets] = {};
+  std::int64_t buckets_[kLog2Buckets] = {};
 };
 
 }  // namespace sdn::obs

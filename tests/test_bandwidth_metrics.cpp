@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <string>
 
 #include "core/api.hpp"
 #include "net/bandwidth.hpp"
 #include "net/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "util/check.hpp"
 
 namespace sdn::net {
@@ -129,6 +132,61 @@ TEST(EngineTimings, PhasesPartitionTotalExactly) {
   EXPECT_EQ(t.topology_ns + t.validate_ns + t.probe_ns + t.send_ns +
                 t.deliver_ns + t.other_ns,
             t.total_ns);
+}
+
+// Every timing sink reads the same round clock: per phase, the registry
+// histogram holds one observation per round and sums to the EngineTimings
+// field, and the recorder's phase spans sum to it too. threads = 2 at
+// n = 192 runs the topology prefetch.
+TEST(EngineTimings, EverySinkReadsTheSameRoundClock) {
+  struct Phase {
+    const char* name;
+    std::int64_t EngineTimings::*field;
+    bool spanned;
+  };
+  const Phase phases[] = {
+      {"topology", &EngineTimings::topology_ns, true},
+      {"validate", &EngineTimings::validate_ns, true},
+      {"probe", &EngineTimings::probe_ns, true},
+      {"send", &EngineTimings::send_ns, true},
+      {"deliver", &EngineTimings::deliver_ns, true},
+      {"other", &EngineTimings::other_ns, false},
+      {"total", &EngineTimings::total_ns, false},
+  };
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    obs::FlightRecorder recorder;
+    RunConfig config;
+    config.n = 192;
+    config.T = 2;
+    config.seed = 7;
+    config.adversary.kind = "spine-gnp";
+    config.collect_metrics = true;
+    config.recorder = &recorder;
+    config.threads = threads;
+    const RunStats stats =
+        RunAlgorithm(Algorithm::kHjswyCensus, config).stats;
+    ASSERT_GT(stats.rounds, 0);
+    ASSERT_EQ(recorder.dropped(), 0u);
+    std::map<std::string, std::int64_t> span_ns;
+    for (const obs::Event& e : recorder.Drain()) {
+      if (e.kind == obs::EventKind::kPhase) span_ns[e.label] += e.dur_ns;
+    }
+    for (const Phase& p : phases) {
+      SCOPED_TRACE(p.name);
+      const obs::MetricSample* hist =
+          stats.metrics.Find(std::string("round_") + p.name + "_ns");
+      ASSERT_NE(hist, nullptr);
+      EXPECT_EQ(hist->count, stats.rounds);
+      EXPECT_EQ(hist->sum, stats.timings.*p.field);
+      if (p.spanned) {
+        EXPECT_EQ(span_ns[p.name], stats.timings.*p.field);
+      }
+    }
+    const obs::MetricSample* wait = stats.metrics.Find("round_aux_wait_ns");
+    ASSERT_NE(wait, nullptr);
+    EXPECT_EQ(wait->count, stats.rounds);
+  }
 }
 
 }  // namespace

@@ -739,10 +739,10 @@ TEST(Engine, DirectSendMatchesOptionalSend) {
 
 TEST(Engine, ConsumersSeeEveryDeltaOnIncrementalPath) {
   // Regression for the delta-gating audit: the direct topology path skips
-  // delta production unless a consumer needs one, and the streaming
-  // T-interval checker, the topology trace and the flight recorder are all
-  // such consumers. Attach all three at once on the incremental path and
-  // pin the recorded trace against the legacy from-scratch path's.
+  // delta production unless a consumer needs one, and the topology trace
+  // is such a consumer. Attach it together with the T-interval checker and
+  // the flight recorder on the incremental path and pin the recorded trace
+  // against the legacy from-scratch path's.
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
   config.n = 32;
@@ -872,24 +872,25 @@ TEST(Engine, FailFastIsInertOnHonestRuns) {
 TEST(Engine, CompositionPathMatchesGeneralCheckerPath) {
   // The certification fast path (witness ids) and the delta-driven exact
   // checker must agree on every reported verdict field; only the internal
-  // mechanism differs. An attached flight recorder moves certification to
-  // the delta checker (its checker track reads the delta path's state).
+  // mechanism differs. Replaying the spine run's rounds through
+  // ReplayAdversary, which publishes no composition, feeds the same
+  // topology stream to the delta checker.
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
   config.n = 48;
   config.T = 2;
   config.seed = 21;
-  const auto run = [&config](obs::FlightRecorder* rec) {
-    const auto adv = adversary::MakeAdversary(config);
-    std::vector<InboxCounter> nodes(48, InboxCounter(40));
-    EngineOptions opts;
-    opts.recorder = rec;
-    Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
-    return engine.Run();
-  };
-  obs::FlightRecorder rec;
-  const RunStats fast = run(nullptr);
-  const RunStats general = run(&rec);
+  const auto spine = adversary::MakeAdversary(config);
+  ASSERT_TRUE(spine->has_composition());
+  std::vector<graph::Graph> rounds;
+  Engine<InboxCounter> witness(std::vector<InboxCounter>(48, InboxCounter(40)),
+                               *spine, {});
+  const RunStats fast = RunRecordingTopologies(witness, rounds);
+  adversary::ReplayAdversary replay(rounds, config.T);
+  ASSERT_FALSE(replay.has_composition());
+  Engine<InboxCounter> delta(std::vector<InboxCounter>(48, InboxCounter(40)),
+                             replay, {});
+  const RunStats general = delta.Run();
   EXPECT_EQ(fast.tinterval_ok, general.tinterval_ok);
   EXPECT_EQ(fast.certified_T, general.certified_T);
   EXPECT_EQ(fast.tinterval_first_bad_window,
@@ -897,6 +898,32 @@ TEST(Engine, CompositionPathMatchesGeneralCheckerPath) {
   EXPECT_EQ(fast.min_stable_forest, general.min_stable_forest);
   EXPECT_EQ(fast.rounds, general.rounds);
   EXPECT_EQ(fast.messages_delivered, general.messages_delivered);
+}
+
+TEST(Engine, RecorderKeepsTheWitnessPath) {
+  // Observation must not change how a run is certified: with a flight
+  // recorder attached the spine run still certifies by witness identity,
+  // so its checker track carries no stable edge count (-1).
+  adversary::AdversaryConfig config;
+  config.kind = "spine-gnp";
+  config.n = 48;
+  config.T = 2;
+  config.seed = 21;
+  const auto adv = adversary::MakeAdversary(config);
+  obs::FlightRecorder rec;
+  EngineOptions opts;
+  opts.recorder = &rec;
+  Engine<InboxCounter> engine(std::vector<InboxCounter>(48, InboxCounter(40)),
+                              *adv, opts);
+  const RunStats stats = engine.Run();
+  EXPECT_EQ(stats.certified_T, 2);
+  int windows = 0;
+  for (const obs::Event& e : rec.Drain()) {
+    if (e.kind != obs::EventKind::kCheckerWindow) continue;
+    ++windows;
+    EXPECT_EQ(e.a, -1) << "round " << e.round;
+  }
+  EXPECT_GT(windows, 0);
 }
 
 TEST(Engine, TopologyAndDeliveryPathCountersPartitionRounds) {
@@ -968,29 +995,33 @@ TEST(Engine, SilentRoundsGatherUnderTheDefaultBacking) {
 }
 
 TEST(Engine, TopologyAssignsDirectlyWheneverTheAdversaryAccepts) {
-  // spine-gnp implements RoundEdgesInto. A flight recorder makes the run a
-  // delta consumer (the delta checker replaces the witness), and every
-  // round is still assigned directly, with the delta diffed from it.
-  // threads = 2 at n = 256 runs the producer on the prefetch lane.
+  // spine-gnp implements RoundEdgesInto. A topology trace makes the run a
+  // delta consumer, and every round is still assigned directly, with the
+  // delta diffed from it. threads = 2 at n = 256 runs the producer on the
+  // prefetch lane.
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
   config.n = 256;
   config.T = 2;
   config.seed = 13;
+  const std::string path = ::testing::TempDir() + "sdn_direct.trace";
   for (const int threads : {1, 2}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const auto adv = adversary::MakeAdversary(config);
     std::vector<InboxCounter> nodes(256, InboxCounter(30));
-    obs::FlightRecorder rec;
+    TraceRecorder trace(path, 256, 2);
     EngineOptions opts;
     opts.threads = threads;
-    opts.recorder = &rec;
+    opts.record_trace = &trace;
     Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
     const RunStats stats = engine.Run();
+    trace.Close();
     EXPECT_TRUE(stats.tinterval_ok);
+    EXPECT_EQ(trace.rounds_written(), stats.rounds);
     EXPECT_EQ(engine.topology_delta_rounds(), 0);
     EXPECT_EQ(engine.topology_direct_rounds(), stats.rounds);
   }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ TEST(FlightRecorder, EmitsAndDrainsInTimeOrder) {
 }
 
 TEST(FlightRecorder, WraparoundKeepsNewestAndCountsDrops) {
-  FlightRecorder rec(/*lanes=*/1, /*lane_capacity=*/4);
+  FlightRecorder rec(/*capacity=*/4);
   for (std::int64_t i = 0; i < 10; ++i) rec.Emit(At(i, i));
   EXPECT_EQ(rec.total_emitted(), 10u);
   EXPECT_EQ(rec.dropped(), 6u);
@@ -56,29 +56,6 @@ TEST(FlightRecorder, WraparoundKeepsNewestAndCountsDrops) {
   // Flight-recorder semantics: the most recent window survives.
   EXPECT_EQ(events.front().a, 6);
   EXPECT_EQ(events.back().a, 9);
-}
-
-TEST(FlightRecorder, LanesMergeChronologicallyWithLaneTiebreak) {
-  FlightRecorder rec(/*lanes=*/2);
-  rec.EmitLane(1, At(5));
-  rec.EmitLane(0, At(5));
-  rec.EmitLane(1, At(1));
-  const std::vector<Event> events = rec.Drain();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].t_ns, 1);
-  EXPECT_EQ(events[0].lane, 1);
-  EXPECT_EQ(events[1].lane, 0);  // equal t_ns: lane 0 first
-  EXPECT_EQ(events[2].lane, 1);
-}
-
-TEST(FlightRecorder, OutOfRangeLaneClampsToZero) {
-  FlightRecorder rec(/*lanes=*/2);
-  rec.EmitLane(7, At(1));
-  rec.EmitLane(-3, At(2));
-  const std::vector<Event> events = rec.Drain();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].lane, 0);
-  EXPECT_EQ(events[1].lane, 0);
 }
 
 TEST(FlightRecorder, JsonlCarriesManifestMetaAndEvents) {
@@ -298,17 +275,6 @@ TEST(Manifest, JsonEscapeHandlesQuotesAndControlChars) {
   EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(JsonEscape("line\nbreak\ttab"), "line\\nbreak\\ttab");
   EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
-TEST(FlightRecorder, PerLaneDropCounts) {
-  FlightRecorder rec(/*lanes=*/2, /*lane_capacity=*/4);
-  for (std::int64_t i = 0; i < 10; ++i) rec.EmitLane(0, At(i));
-  for (std::int64_t i = 0; i < 3; ++i) rec.EmitLane(1, At(i));
-  EXPECT_EQ(rec.dropped_lane(0), 6u);
-  EXPECT_EQ(rec.dropped_lane(1), 0u);
-  EXPECT_EQ(rec.dropped_lane(2), 0u);   // out of range: 0, never a throw
-  EXPECT_EQ(rec.dropped_lane(-1), 0u);
-  EXPECT_EQ(rec.dropped(), 6u);  // aggregate stays the per-lane sum
 }
 
 TEST(RollingHist, WindowEvictsOldestObservations) {
