@@ -12,8 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -30,7 +28,6 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "net/engine.hpp"
-#include "obs/anomaly.hpp"
 #include "obs/manifest.hpp"
 #include "obs/recorder.hpp"
 #include "util/check.hpp"
@@ -180,8 +177,7 @@ net::RunStats TimedReferenceRun(
     net::DeliveryMode delivery = net::DeliveryMode::kDense,
     obs::FlightRecorder* recorder = nullptr, bool validate = true,
     bool overlaps = true, bool collect_metrics = false,
-    bool anomaly = false,
-    const obs::AnomalyOptions* anomaly_options = nullptr) {
+    bool anomaly = false) {
   const graph::NodeId n = 1024;
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
@@ -213,7 +209,6 @@ net::RunStats TimedReferenceRun(
   opts.fused_send_deliver = overlaps;
   opts.collect_metrics = collect_metrics;
   opts.anomaly = anomaly;
-  if (anomaly_options != nullptr) opts.anomaly_options = *anomaly_options;
   net::Engine<algo::HjswyProgram> engine(std::move(nodes), *adv, opts);
   return engine.Run();
 }
@@ -267,8 +262,10 @@ std::size_t MedianIndex(const std::vector<net::RunStats>& runs,
 }
 
 /// Honest A/B: the median rep of each arm, measured over `reps`
-/// *interleaved* pairs (A then B back to back, so both arms sample the same
-/// machine state across the session). The pre-PR 6 version of this file
+/// *interleaved* pairs (both arms back to back, so they sample the same
+/// machine state across the session). The order alternates, B first on odd
+/// reps, so neither arm always pays for running first after the other
+/// arm's allocations and cache traffic. An earlier version of this file
 /// compared each arm's best rep selected across different moments of a
 /// loaded box — one quiet rep on either side could manufacture a speedup or
 /// a regression (it recorded topology_speedup 0.90 for a path that measures
@@ -285,8 +282,9 @@ ABResult PairedAB(const std::function<net::RunStats()>& run_a,
   std::vector<net::RunStats> a;
   std::vector<net::RunStats> b;
   for (int rep = 0; rep < reps; ++rep) {
+    if (rep % 2 == 1) b.push_back(run_b());
     a.push_back(run_a());
-    b.push_back(run_b());
+    if (rep % 2 == 0) b.push_back(run_b());
   }
   ABResult out;
   out.a = a[MedianIndex(a, stat)];
@@ -573,12 +571,12 @@ void ReportEngineTimings() {
                               : "");
 
   // Anomaly-plane A/B: the identical serial workload with metrics
-  // collection on in both arms, anomaly engine off vs on (rolling
-  // histograms, per-round rule evaluation, signal sampling; no recorder so
-  // the dump path stays cold — that's the always-on configuration). The
-  // ratio is the marginal price of the anomaly plane over bare metrics
-  // collection. Interleaved pairs, medians of total_ns; CI gates the ratio
-  // < 1.05 — same pattern as trace_overhead_ratio.
+  // collection on in both arms, anomaly engine off vs on (per-round signal
+  // sampling and rule evaluation; no recorder so the dump path stays
+  // cold — that's the always-on configuration). The ratio is the marginal
+  // price of the anomaly plane over bare metrics collection. Interleaved
+  // pairs, medians of total_ns; CI gates the ratio < 1.05 — same pattern
+  // as trace_overhead_ratio.
   const ABResult anom = PairedAB(
       [] {
         return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
@@ -745,81 +743,10 @@ void ReportEngineTimings() {
   std::printf("  wrote BENCH_engine.json\n");
 }
 
-/// --fault-smoke: the CI anomaly-smoke entry point. Runs the reference
-/// workload with the full observability plane attached (metrics registry +
-/// anomaly engine + flight recorder) and the deliver-phase fault hook armed
-/// (the setenv defaults below inject a 100 ms sleep at round 32 unless the
-/// caller already exported the SDN_FAULT_* variables), then asserts the
-/// plane noticed: exactly one AnomalyRecord, a round-time spike, with its
-/// dump pair on disk in `dump_dir`. Nonzero exit on any miss — the smoke
-/// proves detection, not absence.
-int FaultSmoke(const std::string& dump_dir) {
-  setenv("SDN_FAULT_DELIVER_SLEEP_MS", "100", /*overwrite=*/0);
-  setenv("SDN_FAULT_DELIVER_ROUND", "32", /*overwrite=*/0);
-
-  obs::AnomalyOptions aopts;
-  // Only the injected ~100 ms spike should clear the floor: 20 ms is far
-  // above any honest round of this workload (sub-millisecond) and far
-  // below the fault.
-  aopts.spike_floor_ns = 20'000'000;
-  aopts.dump_dir = dump_dir;
-
-  // Ring large enough that this run never wraps: a wrap would legitimately
-  // fire the drop-onset rule and break the exactly-one assertion.
-  obs::FlightRecorder recorder(/*capacity=*/1 << 20);
-  const net::RunStats stats = TimedReferenceRun(
-      /*threads=*/1, /*incremental=*/true, net::DeliveryMode::kDense,
-      &recorder, /*validate=*/true, /*overlaps=*/true,
-      /*collect_metrics=*/true, /*anomaly=*/true, &aopts);
-
-  std::printf("fault smoke: %zu anomaly record(s)\n", stats.anomalies.size());
-  for (const obs::AnomalyRecord& r : stats.anomalies) {
-    std::printf("  round=%lld rule=%s signal=%s value=%lld threshold=%lld\n",
-                static_cast<long long>(r.round), obs::ToString(r.rule),
-                r.signal, static_cast<long long>(r.value),
-                static_cast<long long>(r.threshold));
-  }
-  if (stats.anomalies.size() != 1) {
-    std::fprintf(stderr,
-                 "fault smoke FAILED: expected exactly 1 anomaly, got %zu\n",
-                 stats.anomalies.size());
-    return 1;
-  }
-  const obs::AnomalyRecord& r = stats.anomalies.front();
-  if (r.rule != obs::AnomalyRule::kRoundTimeSpike) {
-    std::fprintf(stderr, "fault smoke FAILED: wrong rule %s\n",
-                 obs::ToString(r.rule));
-    return 1;
-  }
-  const std::string stem = dump_dir + "/anomaly-" + std::to_string(r.round) +
-                           "-" + obs::ToString(r.rule);
-  for (const char* ext : {".jsonl", ".manifest.json"}) {
-    if (!std::ifstream(stem + ext)) {
-      std::fprintf(stderr, "fault smoke FAILED: missing dump %s%s\n",
-                   stem.c_str(), ext);
-      return 1;
-    }
-  }
-  std::printf("fault smoke OK: dump pair at %s.{jsonl,manifest.json}\n",
-              stem.c_str());
-  return 0;
-}
-
 }  // namespace
 }  // namespace sdn
 
 int main(int argc, char** argv) {
-  bool fault_smoke = false;
-  std::string dump_dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fault-smoke") {
-      fault_smoke = true;
-    } else if (arg.rfind("--dump-dir=", 0) == 0) {
-      dump_dir = arg.substr(sizeof("--dump-dir=") - 1);
-    }
-  }
-  if (fault_smoke) return sdn::FaultSmoke(dump_dir);
   sdn::ReportEngineTimings();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

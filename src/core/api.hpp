@@ -107,17 +107,17 @@ struct RunConfig {
   algo::CensusOptions census{};
   /// Flight recorder handed to the engine (EngineOptions::recorder). Null =
   /// tracing off (the zero-overhead default). Must outlive the run. The
-  /// recorder is a single-consumer sink: RunTrials attaches it to the first
-  /// seed's trial only, so parallel trials never interleave lanes.
+  /// recorder is a single-writer sink: RunTrials attaches it to the first
+  /// seed's trial only, so parallel trials never write to one ring at once.
   obs::FlightRecorder* recorder = nullptr;
   /// Collect the per-round metrics registry into RunStats::metrics
   /// (EngineOptions::collect_metrics).
   bool collect_metrics = false;
   /// Anomaly plane (EngineOptions::anomaly): on by default, but it only
-  /// engages together with collect_metrics — without the registry there is
-  /// nothing to window. Fired records land in RunStats::anomalies.
+  /// engages together with collect_metrics — it lives behind the same
+  /// registry gate. Fired records land in RunStats::anomalies.
   bool anomaly = true;
-  /// Rule thresholds / windows / dump policy (obs::AnomalyOptions).
+  /// Rule thresholds / cooldown / dump policy (obs::AnomalyOptions).
   obs::AnomalyOptions anomaly_options{};
   /// Byte-accounting sink shared by the engine and the run's caller-side
   /// subsystems (sketch pool). Null = the engine's internal budget is used

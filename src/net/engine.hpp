@@ -34,8 +34,7 @@
 // Timing has one source: Step() reads the clock once at each phase boundary
 // into one per-round record (RoundClock). On every exit of Step(), aborts
 // included, CloseRound hands the same durations to RunStats::timings, the
-// registry's round_<phase>_ns histograms and the recorder's phase spans;
-// a completed round's anomaly signal reads its total from the same record.
+// registry's round_<phase>_ns histograms and the recorder's phase spans.
 //
 // Topology is incremental by default (EngineOptions::incremental_topology):
 // one in-place DynGraph holds the live round instead of a fresh Graph per
@@ -89,7 +88,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <span>
@@ -205,11 +203,11 @@ struct EngineOptions {
   /// snapshotted as RunStats::metrics. Off by default; like the recorder,
   /// off costs one branch per round.
   bool collect_metrics = false;
-  /// Always-on anomaly plane: feed every round's total time, aux-lane
-  /// drain wait, memory gauges and certification state through
-  /// obs::AnomalyEngine (a rolling window of round totals + five
-  /// declarative rules). Fired records land in RunStats::anomalies; when a
-  /// flight recorder is attached each firing also dumps a bounded
+  /// Always-on anomaly plane: feed every round's memory gauges,
+  /// certification state and recorder drop count through
+  /// obs::AnomalyEngine (three declarative rules; no wall-clock signal).
+  /// Fired records land in RunStats::anomalies; when a flight recorder is
+  /// attached each firing also dumps a bounded
   /// `anomaly-<round>-<rule>.jsonl` snapshot. Engages only together with
   /// collect_metrics (the plane lives behind the same registry gate) and,
   /// like every sink, runs after the round's final clock read — the
@@ -264,8 +262,8 @@ class Engine final : private AdversaryView {
     if (prefetch_pending_) {
       // Join the lane task before round_ or topo_ change (the in-flight
       // call reads both); Drain rethrows any adversary error and orders
-      // the task's writes before our reads. The join wait is the round's
-      // aux-lane stall signal.
+      // the task's writes before our reads. The join wait feeds the
+      // round_aux_wait_ns histogram.
       topo_lane_.Drain();
       clock.aux_wait_ns = Ns(clock.at[kStart], Clock::now());
       prefetch_pending_ = false;
@@ -542,13 +540,6 @@ class Engine final : private AdversaryView {
     // the same reason.
     const bool stage_next = fused_enabled_ && round_ < options_.max_rounds;
     clock.Stamp(kDeliverBegin);
-    // CI fault hook (SDN_FAULT_DELIVER_SLEEP_MS / SDN_FAULT_DELIVER_ROUND,
-    // read once in EnsureStarted): stall the deliver window of one round so
-    // the anomaly smoke test has a real spike to detect. Wall clock only —
-    // no engine state is touched, so deterministic RunStats are unchanged.
-    if (fault_sleep_ms_ > 0 && round_ == fault_round_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(fault_sleep_ms_));
-    }
     ForShards([this, &g, dense, stage_next](int shard, std::int64_t begin,
                                             std::int64_t end) {
       using Message = typename A::Message;
@@ -661,8 +652,6 @@ class Engine final : private AdversaryView {
       if (anomaly_ != nullptr) {
         obs::RoundSignals sig;
         sig.round = round_;
-        sig.total_ns = clock.ns[kTotal];
-        sig.aux_wait_ns = clock.aux_wait_ns;
         // Under async certification the checker runs on its own lane and
         // reading it here would race; certified_T = -1 means "not sampled"
         // and the cert-regression rule skips the round. Recorder-attached
@@ -920,12 +909,11 @@ class Engine final : private AdversaryView {
 
   /// Closes the round's clock and feeds its durations to the timing
   /// sinks: RunStats::timings, the registry's round_<phase>_ns histograms
-  /// (plus round_aux_wait_ns) and the recorder's kPhase spans; the anomaly
-  /// plane reads clock.ns[kTotal] after it. Every exit of Step() calls it
-  /// once. An aborted round's unopened windows collapse to zero and get no
-  /// span. other is the residual, total minus the five named windows, so
-  /// the phases partition total exactly (debug-asserted below, pinned by
-  /// test_bandwidth_metrics).
+  /// (plus round_aux_wait_ns) and the recorder's kPhase spans. Every exit
+  /// of Step() calls it once. An aborted round's unopened windows collapse
+  /// to zero and get no span. other is the residual, total minus the five
+  /// named windows, so the phases partition total exactly (debug-asserted
+  /// below, pinned by test_bandwidth_metrics).
   void CloseRound(RoundClock& clock) {
     const Mark reached = clock.last;
     std::fill(clock.at.begin() + reached + 1, clock.at.begin() + kEnd,
@@ -1039,16 +1027,6 @@ class Engine final : private AdversaryView {
         anomaly_ = std::make_unique<obs::AnomalyEngine>(
             options_.anomaly_options, registry_.get(), rec_);
       }
-    }
-    // CI fault hook (see the deliver-phase sleep in Step): read once so the
-    // hot path pays two integer compares, not two getenv calls per round.
-    if (const char* e = std::getenv("SDN_FAULT_DELIVER_SLEEP_MS");
-        e != nullptr && *e != '\0') {
-      fault_sleep_ms_ = std::atoll(e);
-    }
-    if (const char* e = std::getenv("SDN_FAULT_DELIVER_ROUND");
-        e != nullptr && *e != '\0') {
-      fault_round_ = std::atoll(e);
     }
     stats_.decide_round.assign(static_cast<std::size_t>(n_), -1);
     stats_.sends_per_node.assign(static_cast<std::size_t>(n_), 0);
@@ -1331,10 +1309,6 @@ class Engine final : private AdversaryView {
   /// Anomaly plane (EngineOptions::anomaly, behind the registry gate).
   /// Observed after the final clock read; never consulted by the engine.
   std::unique_ptr<obs::AnomalyEngine> anomaly_;
-  /// CI fault hook (SDN_FAULT_DELIVER_SLEEP_MS / SDN_FAULT_DELIVER_ROUND,
-  /// read once in EnsureStarted): wall-clock stall of one deliver window.
-  std::int64_t fault_sleep_ms_ = 0;
-  std::int64_t fault_round_ = 1;
   const char* obs_algo_label_ = nullptr;  // last emitted algo-phase label
   std::int64_t obs_algo_index_ = -1;
   std::int64_t obs_merges_total_ = 0;

@@ -147,13 +147,15 @@ struct RunStats {
 
   /// Anomaly records fired by the always-on anomaly plane
   /// (EngineOptions::anomaly, requires collect_metrics), bounded by
-  /// AnomalyOptions::max_records. Wall-clock driven, so — like the ns
-  /// histograms — never part of the deterministic comparison surface.
+  /// AnomalyOptions::max_records. No rule reads a wall time, but the
+  /// certification rule samples the checker only when it runs
+  /// synchronously, so the records can differ across thread counts and
+  /// are not part of the deterministic comparison surface.
   std::vector<obs::AnomalyRecord> anomalies;
 
-  /// Flight-recorder events lost to ring wraparound across all lanes
-  /// (0 when no recorder was attached). A nonzero value means the trace
-  /// covers only the most recent window of the run.
+  /// Flight-recorder events lost to ring wraparound (0 when no recorder
+  /// was attached). A nonzero value means the trace covers only the most
+  /// recent window of the run.
   std::uint64_t recorder_dropped = 0;
 
   [[nodiscard]] double AvgBitsPerMessage() const;

@@ -3,19 +3,17 @@
 #include <algorithm>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "obs/manifest.hpp"
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
+#include "util/check.hpp"
 
 namespace sdn::obs {
 
 const char* ToString(AnomalyRule rule) {
   switch (rule) {
-    case AnomalyRule::kRoundTimeSpike:
-      return "round_time_spike";
-    case AnomalyRule::kAuxLaneStall:
-      return "aux_lane_stall";
     case AnomalyRule::kMemoryJump:
       return "memory_jump";
     case AnomalyRule::kCertRegression:
@@ -30,14 +28,13 @@ AnomalyEngine::AnomalyEngine(AnomalyOptions options, MetricsRegistry* registry,
                              const FlightRecorder* recorder)
     : options_(std::move(options)),
       registry_(registry),
-      recorder_(recorder),
-      totals_(options_.window) {
+      recorder_(recorder) {
   SDN_CHECK(options_.min_samples >= 1);
-  SDN_CHECK(options_.spike_factor >= 1.0);
   for (std::int64_t& r : last_fired_round_) r = -1;
   if (registry_ != nullptr) {
-    // Firing depends on wall clock, so every instrument is
-    // non-deterministic; registered up front for a stable exported series.
+    // Whether the checker is sampled depends on the thread count, so every
+    // instrument is non-deterministic; registered up front for a stable
+    // exported series.
     total_counter_ =
         registry_->GetCounter("anomalies_total", /*deterministic=*/false);
     for (int r = 0; r < kNumAnomalyRules; ++r) {
@@ -50,25 +47,6 @@ AnomalyEngine::AnomalyEngine(AnomalyOptions options, MetricsRegistry* registry,
 
 void AnomalyEngine::Observe(const RoundSignals& s,
                             std::span<const MemorySample> memory) {
-  // Rule evaluation reads the window *before* this round is folded in —
-  // the round under test must not be its own baseline.
-  if (totals_.count() >= options_.min_samples) {
-    const std::int64_t p99 = totals_.Quantile(0.99);
-    const std::int64_t threshold =
-        std::max(options_.spike_floor_ns,
-                 static_cast<std::int64_t>(
-                     options_.spike_factor * static_cast<double>(p99)));
-    if (s.total_ns > threshold) {
-      Fire(AnomalyRule::kRoundTimeSpike, s.round, s.total_ns, threshold,
-           "round_total_ns");
-    }
-  }
-
-  if (s.aux_wait_ns > options_.aux_stall_ns) {
-    Fire(AnomalyRule::kAuxLaneStall, s.round, s.aux_wait_ns,
-         options_.aux_stall_ns, "aux_lane_wait_ns");
-  }
-
   for (const MemorySample& m : memory) {
     GaugeTrack* track = nullptr;
     for (GaugeTrack& g : gauges_) {
@@ -125,8 +103,6 @@ void AnomalyEngine::Observe(const RoundSignals& s,
     }
     last_dropped_ = s.recorder_dropped;
   }
-
-  totals_.Observe(s.total_ns);
 }
 
 void AnomalyEngine::Fire(AnomalyRule rule, std::int64_t round,

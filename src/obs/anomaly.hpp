@@ -1,23 +1,25 @@
-// Anomaly engine: declarative trigger rules over rolling round signals.
+// Anomaly engine: declarative trigger rules over round signals the host
+// cannot fake.
 //
 // The flight recorder (obs/recorder.hpp) only helps if a human remembers to
 // attach it and stare at the trace. The anomaly engine is the always-on
 // counterpart: the engine feeds it one RoundSignals record per round (on the
-// observation side of Step(), after the final clock read), it keeps one
-// rolling window of round totals (obs/rolling_hist.hpp), and a small set of
-// declarative rules fire typed AnomalyRecords when the run misbehaves:
+// observation side of Step(), after the final clock read), and a small set
+// of declarative rules fire typed AnomalyRecords when the run misbehaves:
 //
-//   rule                  | windowed signal          | trigger
+//   rule                  | signal                   | trigger
 //   ----------------------|--------------------------|--------------------------
-//   kRoundTimeSpike       | rolling p99 of total_ns  | round > factor x p99 (and
-//                         |                          | above an absolute floor)
-//   kAuxLaneStall         | aux-lane Drain wait      | wait > aux_stall_ns
 //   kMemoryJump           | per-gauge high-water     | level > mark + factor x
 //                         | mark                     | mark (and a byte floor),
 //                         |                          | after min_samples
 //   kCertRegression       | certified-T / bad window | certified-T drops, or the
 //                         |                          | first bad window appears
 //   kRecorderDropOnset    | recorder drop counter    | drops start (ring wrapped)
+//
+// Every signal is a count or a byte size the run determines; none is a wall
+// time. Phase wall times live in the registry's round_<phase>_ns
+// histograms and the recorder's phase spans, where a slow round is visible
+// without a rule that a busy host can trip.
 //
 // Records are bounded (max_records) and per-rule cooldowns stop a stuck run
 // from flooding the list. When a FlightRecorder is attached, each firing
@@ -28,17 +30,16 @@
 //
 // Observation-never-feeds-back: the engine consults nothing here; RunStats
 // minus the anomaly/metrics fields is bit-identical with the plane on or
-// off (test_determinism pins it). All registry instruments the engine
-// creates for anomalies are flagged non-deterministic — firing depends on
-// wall clock.
+// off (test_determinism pins it). The registry counters the plane creates
+// are flagged non-deterministic: certification state is sampled only when
+// the checker is synchronous, so whether a rule can see a regression
+// depends on the thread count and the overlap toggles.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
-
-#include "obs/rolling_hist.hpp"
 
 namespace sdn::obs {
 
@@ -47,13 +48,11 @@ class MetricsRegistry;
 class Counter;
 
 enum class AnomalyRule : std::uint8_t {
-  kRoundTimeSpike = 0,
-  kAuxLaneStall = 1,
-  kMemoryJump = 2,
-  kCertRegression = 3,
-  kRecorderDropOnset = 4,
+  kMemoryJump = 0,
+  kCertRegression = 1,
+  kRecorderDropOnset = 2,
 };
-inline constexpr int kNumAnomalyRules = 5;
+inline constexpr int kNumAnomalyRules = 3;
 
 /// Stable lowercase snake_case name (metric suffixes, dump file names).
 const char* ToString(AnomalyRule rule);
@@ -62,7 +61,7 @@ const char* ToString(AnomalyRule rule);
 /// point at a string with static storage duration (same contract as
 /// Event::label — the record never owns or frees it).
 struct AnomalyRecord {
-  AnomalyRule rule = AnomalyRule::kRoundTimeSpike;
+  AnomalyRule rule = AnomalyRule::kMemoryJump;
   std::int64_t round = 0;
   std::int64_t value = 0;      ///< observed signal value
   std::int64_t threshold = 0;  ///< armed threshold it crossed
@@ -72,22 +71,9 @@ struct AnomalyRecord {
 };
 
 struct AnomalyOptions {
-  /// Rolling window, in rounds, of the round totals kRoundTimeSpike
-  /// judges against.
-  int window = 64;
-  /// kRoundTimeSpike arms only after this many rounds seeded the window
-  /// (a spike vs an empty baseline is meaningless); kMemoryJump only after
-  /// a gauge has been sampled this many times (buffers size themselves in
-  /// the first rounds).
+  /// kMemoryJump arms for a gauge only after it has been sampled this many
+  /// times (buffers size themselves in the first rounds).
   int min_samples = 8;
-  /// kRoundTimeSpike: round total_ns > spike_factor x rolling p99 ...
-  double spike_factor = 8.0;
-  /// ... and > this absolute floor, so microsecond-scale jitter in fast
-  /// runs never pages anyone (1 ms default).
-  std::int64_t spike_floor_ns = 1'000'000;
-  /// kAuxLaneStall: a lane Drain wait above this fires (250 ms default —
-  /// a healthy prefetch join is microseconds).
-  std::int64_t aux_stall_ns = 250'000'000;
   /// kMemoryJump: a gauge level above its own high-water mark by more than
   /// memory_jump_factor x that mark ...
   double memory_jump_factor = 0.5;
@@ -107,11 +93,6 @@ struct AnomalyOptions {
 /// One round's signals, sampled by the engine after the final clock read.
 struct RoundSignals {
   std::int64_t round = 0;
-  /// The round's wall time, as EngineTimings::total_ns accumulates it.
-  std::int64_t total_ns = 0;
-  /// Wait spent joining the auxiliary topology lane this round (0 when the
-  /// prefetch overlap is off or the lane was already done).
-  std::int64_t aux_wait_ns = 0;
   /// Checker state, when readable this round (synchronous checker only);
   /// -1 = not sampled — the rule skips, it never treats it as a drop.
   std::int64_t certified_T = -1;
@@ -140,8 +121,7 @@ class AnomalyEngine {
   AnomalyEngine(const AnomalyEngine&) = delete;
   AnomalyEngine& operator=(const AnomalyEngine&) = delete;
 
-  /// Feeds one round: evaluates every rule, then folds the round's total
-  /// into the rolling window.
+  /// Feeds one round: evaluates every rule against it.
   void Observe(const RoundSignals& signals,
                std::span<const MemorySample> memory);
 
@@ -167,8 +147,7 @@ class AnomalyEngine {
   AnomalyOptions options_;
   MetricsRegistry* registry_;
   const FlightRecorder* recorder_;
-  RollingHist totals_;                 // round total_ns, kRoundTimeSpike
-  std::vector<GaugeTrack> gauges_;     // per-subsystem high-water marks
+  std::vector<GaugeTrack> gauges_;  // per-subsystem high-water marks
   std::vector<AnomalyRecord> records_;
   std::int64_t total_fired_ = 0;
   std::int64_t last_fired_round_[kNumAnomalyRules];  // cooldown state

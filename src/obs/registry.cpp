@@ -1,6 +1,7 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -19,30 +20,17 @@ const char* ToString(MetricKind kind) {
   return "?";
 }
 
-Log2Rank Log2Quantile(std::span<const std::int64_t, kLog2Buckets> buckets,
-                      std::int64_t count, double q) {
-  if (count == 0) return {};
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  std::int64_t seen = 0;
-  for (int b = 0; b < kLog2Buckets; ++b) {
-    const std::int64_t in_bucket = buckets[static_cast<std::size_t>(b)];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) >= target) {
-      if (b == 0) return {};
-      const double lo = std::ldexp(1.0, b - 1);
-      const double frac = (target - static_cast<double>(seen)) /
-                          static_cast<double>(in_bucket);
-      return {b, static_cast<std::int64_t>(
-                     std::llround(lo * std::pow(2.0, frac)))};
-    }
-    seen += in_bucket;
-  }
-  return {};  // unreachable: the buckets hold `count` observations
+namespace {
+
+int BucketOf(std::int64_t value) {
+  if (value <= 0) return 0;
+  return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(value)));
 }
 
+}  // namespace
+
 void Histogram::Observe(std::int64_t value) {
-  ++buckets_[static_cast<std::size_t>(Log2Bucket(value))];
+  ++buckets_[static_cast<std::size_t>(BucketOf(value))];
   if (count_ == 0) {
     min_ = max_ = value;
   } else {
@@ -54,9 +42,27 @@ void Histogram::Observe(std::int64_t value) {
 }
 
 std::int64_t Histogram::Quantile(double q) const {
-  const Log2Rank rank = Log2Quantile(buckets_, count_, q);
-  if (rank.bucket == 0) return 0;
-  return std::clamp(rank.estimate, min(), max());
+  if (count_ == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  const double target = q * static_cast<double>(count_);
+  std::int64_t seen = 0;
+  for (int b = 0; b < kBuckets; ++b) {
+    const std::int64_t in_bucket = buckets_[static_cast<std::size_t>(b)];
+    if (in_bucket == 0) continue;
+    if (static_cast<double>(seen + in_bucket) >= target) {
+      if (b == 0) return 0;
+      // Geometric interpolation across the bucket's [2^(b-1), 2^b) span by
+      // the rank's position inside it, clamped to the values observed.
+      const double lo = std::ldexp(1.0, b - 1);
+      const double frac = (target - static_cast<double>(seen)) /
+                          static_cast<double>(in_bucket);
+      const auto v =
+          static_cast<std::int64_t>(std::llround(lo * std::pow(2.0, frac)));
+      return std::clamp(v, min(), max());
+    }
+    seen += in_bucket;
+  }
+  return max();  // unreachable: the buckets hold count_ observations
 }
 
 const MetricSample* MetricsSnapshot::Find(const std::string& name) const {

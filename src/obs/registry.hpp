@@ -18,10 +18,8 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -50,29 +48,6 @@ class Gauge {
   std::int64_t value_ = 0;
 };
 
-/// The log2 bucket layout Histogram and RollingHist share: bucket 0 holds
-/// exactly {0} (negatives clamp into it), bucket b >= 1 holds
-/// [2^(b-1), 2^b - 1].
-inline constexpr int kLog2Buckets = 64;
-
-[[nodiscard]] inline int Log2Bucket(std::int64_t value) {
-  if (value <= 0) return 0;
-  return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(value)));
-}
-
-/// Where quantile q (clamped to [0, 1]) of `count` observations falls in
-/// `buckets`: the bucket, and a geometric interpolation across its
-/// [2^(b-1), 2^b) span by the rank's position inside it. The estimate is
-/// unclamped; each histogram clamps it to what it knows. {0, 0} when empty
-/// or when the rank falls in bucket 0.
-struct Log2Rank {
-  int bucket = 0;
-  std::int64_t estimate = 0;
-};
-[[nodiscard]] Log2Rank Log2Quantile(
-    std::span<const std::int64_t, kLog2Buckets> buckets, std::int64_t count,
-    double q);
-
 class Histogram {
  public:
   void Observe(std::int64_t value);
@@ -81,15 +56,16 @@ class Histogram {
   [[nodiscard]] std::int64_t sum() const { return sum_; }
   [[nodiscard]] std::int64_t min() const { return count_ == 0 ? 0 : min_; }
   [[nodiscard]] std::int64_t max() const { return count_ == 0 ? 0 : max_; }
-  /// q in [0, 1]: Log2Quantile's estimate clamped to the observed
-  /// [min, max]. 0 when empty.
+  /// q in [0, 1]: geometric interpolation inside the rank's log2 bucket,
+  /// clamped to the observed [min, max]. 0 when empty.
   [[nodiscard]] std::int64_t Quantile(double q) const;
-  [[nodiscard]] const std::array<std::int64_t, kLog2Buckets>& buckets() const {
-    return buckets_;
-  }
 
  private:
-  std::array<std::int64_t, kLog2Buckets> buckets_{};
+  /// Bucket 0 holds exactly {0} (negatives clamp into it); bucket b >= 1
+  /// holds [2^(b-1), 2^b - 1].
+  static constexpr int kBuckets = 64;
+
+  std::array<std::int64_t, kBuckets> buckets_{};
   std::int64_t count_ = 0;
   std::int64_t sum_ = 0;
   std::int64_t min_ = 0;

@@ -19,17 +19,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "adversary/replay.hpp"
 #include "adversary/streaming_trace.hpp"
+#include "algo/flood_max.hpp"
 #include "algo/hjswy.hpp"
 #include "algo/sketch_pool.hpp"
 #include "core/api.hpp"
 #include "graph/delta.hpp"
+#include "graph/generators.hpp"
 #include "net/engine.hpp"
 #include "net/trace.hpp"
 #include "obs/anomaly.hpp"
@@ -340,51 +343,56 @@ TEST(Determinism, AnomalyPlaneOnOrOffIsInvisibleToRunStats) {
   }
 }
 
-// The CI anomaly-smoke contract, pinned as a unit test: a deliver-phase
-// fault injected through the env test hook must produce exactly one
-// AnomalyRecord (a round-time spike at the faulted round) and, with a
-// recorder attached, a flight-recorder dump whose retained window contains
-// the faulted round.
+// The anomaly-dump contract: an injected fault must produce exactly one
+// AnomalyRecord at the faulted round and, with a recorder attached, a
+// flight-recorder dump whose retained window contains that round. The fault
+// is one the host cannot fake: a replayed path claimed 2-interval connected
+// loses one edge in round 12 alone, so round 12 is disconnected, the
+// window ending there breaks the promise and certified-T falls from 2.
 TEST(Determinism, InjectedFaultFiresExactlyOneAnomalyWithDump) {
+  constexpr graph::NodeId kN = 32;
+  constexpr std::int64_t kFaultRound = 12;
   const std::string dir = ::testing::TempDir();
-  ASSERT_EQ(setenv("SDN_FAULT_DELIVER_SLEEP_MS", "50", 1), 0);
-  ASSERT_EQ(setenv("SDN_FAULT_DELIVER_ROUND", "12", 1), 0);
+
+  std::vector<graph::Graph> rounds(2 * kFaultRound, graph::Path(kN));
+  const graph::Graph& path = rounds.front();
+  std::vector<graph::Edge> cut(path.Edges().begin(), path.Edges().end());
+  cut.erase(cut.begin() + kN / 2);
+  rounds[kFaultRound - 1] = graph::Graph(kN, cut);
+  adversary::ReplayAdversary replay(std::move(rounds), /*T=*/2);
 
   obs::FlightRecorder recorder;  // default ring: no wrap at this n
-  RunConfig config;
-  config.n = 192;
-  config.T = 2;
-  config.seed = 12345;
-  config.adversary.kind = "spine-gnp";
-  config.validate_tinterval = false;
-  config.collect_metrics = true;
-  config.anomaly = true;
-  // Only the injected 50 ms spike may clear the floor.
-  config.anomaly_options.spike_floor_ns = 10'000'000;
-  config.anomaly_options.dump_dir = dir;
-  config.recorder = &recorder;
-  config.threads = 1;
-  const RunResult result = RunAlgorithm(Algorithm::kHjswyCensus, config);
+  net::EngineOptions opts;
+  opts.threads = 1;
+  opts.recorder = &recorder;
+  opts.collect_metrics = true;
+  opts.anomaly_options.dump_dir = dir;
+  std::vector<algo::FloodMaxKnownN> nodes;
+  for (graph::NodeId u = 0; u < kN; ++u) nodes.emplace_back(u, kN, u);
+  net::Engine<algo::FloodMaxKnownN> engine(std::move(nodes), replay, opts);
+  const net::RunStats stats = engine.Run();
 
-  ASSERT_EQ(unsetenv("SDN_FAULT_DELIVER_SLEEP_MS"), 0);
-  ASSERT_EQ(unsetenv("SDN_FAULT_DELIVER_ROUND"), 0);
+  ASSERT_GT(stats.rounds, kFaultRound);  // the run reached the faulted round
+  EXPECT_FALSE(stats.tinterval_ok);
+  ASSERT_EQ(stats.anomalies.size(), 1u);
+  const obs::AnomalyRecord& record = stats.anomalies.front();
+  EXPECT_EQ(record.rule, obs::AnomalyRule::kCertRegression);
+  EXPECT_EQ(record.round, kFaultRound);
+  EXPECT_STREQ(record.signal, "certified_T");
+  EXPECT_EQ(record.threshold, 2);
+  EXPECT_LT(record.value, record.threshold);
 
-  ASSERT_GT(result.stats.rounds, 12);  // the run reached the faulted round
-  ASSERT_EQ(result.stats.anomalies.size(), 1u);
-  const obs::AnomalyRecord& record = result.stats.anomalies.front();
-  EXPECT_EQ(record.rule, obs::AnomalyRule::kRoundTimeSpike);
-  EXPECT_EQ(record.round, 12);
-  EXPECT_GT(record.value, record.threshold);
-
-  const std::string stem = dir + "/anomaly-12-round_time_spike";
+  const std::string stem =
+      dir + "/anomaly-" + std::to_string(kFaultRound) + "-cert_regression";
   std::ifstream jsonl(stem + ".jsonl");
   ASSERT_TRUE(jsonl.good()) << stem;
   std::stringstream body;
   body << jsonl.rdbuf();
   // The dump's retained window brackets the trigger: events stamped with
   // the faulted round must be inside it.
-  EXPECT_NE(body.str().find("\"round\":12"), std::string::npos);
-  EXPECT_NE(body.str().find("\"anomaly_rule\":\"round_time_spike\""),
+  EXPECT_NE(body.str().find("\"round\":" + std::to_string(kFaultRound)),
+            std::string::npos);
+  EXPECT_NE(body.str().find("\"anomaly_rule\":\"cert_regression\""),
             std::string::npos);
   std::ifstream manifest(stem + ".manifest.json");
   EXPECT_TRUE(manifest.good()) << stem;
@@ -392,24 +400,32 @@ TEST(Determinism, InjectedFaultFiresExactlyOneAnomalyWithDump) {
   std::remove((stem + ".manifest.json").c_str());
 }
 
-// A healthy run must not page anyone. At this shape the live `topology`
-// gauge alternates between two levels every round (the first round of each
-// era carries two spines) and the DynGraph scratch sizes itself in the
-// first rounds; neither is a jump above the gauge's own high-water mark.
+// A healthy run must not page anyone: no rule fires at all. At spine-gnp
+// n = 16384 the live `topology` gauge alternates between two levels every
+// round (the first round of each era carries two spines) and the DynGraph
+// scratch sizes itself in the first rounds; neither is a jump above the
+// gauge's own high-water mark. adaptive-desc n = 256 is the metrics-on
+// shape of the time-to-decide benchmark, where any rule judging round wall
+// times would fire on a loaded host.
 TEST(AnomalyPlane, HealthySpineGnpRunFiresNoMemoryJump) {
-  RunConfig config;
-  config.n = 16384;
-  config.T = 2;
-  config.seed = 1;
-  config.adversary.kind = "spine-gnp";
-  config.threads = 1;
-  config.collect_metrics = true;
-  const RunResult result = RunAlgorithm(Algorithm::kHjswyEstimate, config);
-  ASSERT_TRUE(result.Ok());
-  for (const obs::AnomalyRecord& r : result.stats.anomalies) {
-    EXPECT_NE(r.rule, obs::AnomalyRule::kMemoryJump)
-        << "round " << r.round << " signal " << r.signal << " value "
-        << r.value << " threshold " << r.threshold;
+  const std::pair<const char*, graph::NodeId> inputs[] = {
+      {"spine-gnp", 16384}, {"adaptive-desc", 256}};
+  for (const auto& [kind, n] : inputs) {
+    SCOPED_TRACE(std::string(kind) + " n=" + std::to_string(n));
+    RunConfig config;
+    config.n = n;
+    config.T = 2;
+    config.seed = 1;
+    config.adversary.kind = kind;
+    config.threads = 1;
+    config.collect_metrics = true;
+    const RunResult result = RunAlgorithm(Algorithm::kHjswyEstimate, config);
+    ASSERT_TRUE(result.Ok());
+    for (const obs::AnomalyRecord& r : result.stats.anomalies) {
+      ADD_FAILURE() << obs::ToString(r.rule) << " at round " << r.round
+                    << " signal " << r.signal << " value " << r.value
+                    << " threshold " << r.threshold;
+    }
   }
 }
 

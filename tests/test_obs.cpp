@@ -2,6 +2,7 @@
 // registry's determinism contract and quantile math, and run-manifest
 // serialisation (docs/OBSERVABILITY.md).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
@@ -17,7 +18,6 @@
 #include "obs/openmetrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
-#include "obs/rolling_hist.hpp"
 #include "util/check.hpp"
 
 namespace sdn::obs {
@@ -249,8 +249,13 @@ TEST(Manifest, GitShaOverridePrecedenceAndLocalFallback) {
   // then a cached `git rev-parse HEAD`. Run from anywhere inside this
   // repository that must produce a real 40-hex commit id — the historic
   // git_sha:"unknown" rows in recorded manifests were this fallback
-  // missing, not an unknowable sha.
+  // missing, not an unknowable sha. ctest runs from the build tree, which
+  // may lie outside the checkout, so this half runs from the source root.
+  char old_cwd[4096];
+  ASSERT_NE(getcwd(old_cwd, sizeof(old_cwd)), nullptr);
+  ASSERT_EQ(chdir(SDN_SOURCE_DIR), 0) << SDN_SOURCE_DIR;
   const std::string sha = *RunManifest::Collect().Find("git_sha");
+  ASSERT_EQ(chdir(old_cwd), 0) << old_cwd;
   EXPECT_EQ(sha.size(), 40u) << "resolved git_sha: " << sha;
   EXPECT_TRUE(std::all_of(sha.begin(), sha.end(), [](unsigned char c) {
     return std::isxdigit(c) != 0;
@@ -277,114 +282,39 @@ TEST(Manifest, JsonEscapeHandlesQuotesAndControlChars) {
   EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
-TEST(RollingHist, WindowEvictsOldestObservations) {
-  RollingHist h(/*window=*/4);
-  for (int i = 0; i < 4; ++i) h.Observe(1000);
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.sum(), 4000);
-  h.Observe(8);  // evicts one 1000
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.total_observed(), 5);
-  EXPECT_EQ(h.sum(), 3008);
-  for (int i = 0; i < 3; ++i) h.Observe(8);  // window is now all 8s
-  EXPECT_EQ(h.sum(), 32);
-  // Every 1000 left the window, so even the max quantile sits in the
-  // bucket holding 8 ([8, 15]).
-  EXPECT_GE(h.Quantile(1.0), 8);
-  EXPECT_LE(h.Quantile(1.0), 15);
-}
-
-TEST(RollingHist, QuantilesLandInTheRightLog2Bucket) {
-  RollingHist h(/*window=*/128);
-  for (std::int64_t v = 1; v <= 100; ++v) h.Observe(v);
-  const std::int64_t p50 = h.Quantile(0.50);
-  // True p50 is 50: the estimate must stay inside its bucket [32, 63].
-  EXPECT_GE(p50, 32);
-  EXPECT_LE(p50, 63);
-  EXPECT_EQ(h.Quantile(0.0), 1);  // clamped to the first bucket's floor
-}
-
-TEST(RollingHist, EmptyAndZeroSemantics) {
-  RollingHist h(/*window=*/2);
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.Quantile(0.5), 0);
-  h.Observe(0);
-  EXPECT_EQ(h.count(), 1);
-  EXPECT_EQ(h.Quantile(1.0), 0);  // bucket 0 holds exactly {0}
-}
-
 AnomalyOptions TightOptions() {
   AnomalyOptions o;
-  o.window = 16;
   o.min_samples = 4;
-  o.spike_factor = 2.0;
-  o.spike_floor_ns = 100;
-  o.aux_stall_ns = 500;
   o.memory_jump_factor = 0.5;
   o.memory_jump_floor_bytes = 100;
   o.cooldown_rounds = 1;
   return o;
 }
 
-RoundSignals Signals(std::int64_t round, std::int64_t total_ns = 1000) {
+RoundSignals Signals(std::int64_t round, std::int64_t certified_T = -1) {
   RoundSignals s;
   s.round = round;
-  s.total_ns = total_ns;
+  s.certified_T = certified_T;
   return s;
-}
-
-TEST(AnomalyEngine, SpikeArmsOnlyAfterMinSamples) {
-  AnomalyEngine engine(TightOptions(), nullptr, nullptr);
-  // Rounds 1-3 seed the window; a spike at round 4 sees count()==3 <
-  // min_samples and must not fire — an empty baseline is no baseline.
-  for (std::int64_t r = 1; r <= 3; ++r) engine.Observe(Signals(r), {});
-  engine.Observe(Signals(4, 100'000), {});
-  EXPECT_EQ(engine.total_fired(), 0);
-}
-
-TEST(AnomalyEngine, SpikeFiresAgainstRollingP99NotItself) {
-  AnomalyEngine engine(TightOptions(), nullptr, nullptr);
-  for (std::int64_t r = 1; r <= 4; ++r) engine.Observe(Signals(r), {});
-  engine.Observe(Signals(5, 100'000), {});
-  ASSERT_EQ(engine.records().size(), 1u);
-  const AnomalyRecord& rec = engine.records().front();
-  EXPECT_EQ(rec.rule, AnomalyRule::kRoundTimeSpike);
-  EXPECT_EQ(rec.round, 5);
-  EXPECT_EQ(rec.value, 100'000);
-  EXPECT_STREQ(rec.signal, "round_total_ns");
-  // Threshold was armed from the window *before* the spike (p99 of the
-  // 1000 ns baseline x factor 2), far below the spike itself.
-  EXPECT_LT(rec.threshold, 100'000);
-  EXPECT_GE(rec.threshold, 100);
 }
 
 TEST(AnomalyEngine, CooldownSuppressesImmediateRefire) {
   AnomalyEngine engine(TightOptions(), nullptr, nullptr);  // cooldown 1 round
-  for (std::int64_t r = 1; r <= 4; ++r) engine.Observe(Signals(r), {});
-  engine.Observe(Signals(5, 100'000), {});
-  // Round 6 spikes far above even the spiked window's p99, but it is
-  // inside the cooldown.
-  engine.Observe(Signals(6, 100'000'000), {});
+  engine.Observe(Signals(1, /*certified_T=*/4), {});       // baseline
+  engine.Observe(Signals(2, 3), {});                       // drop: fires
   EXPECT_EQ(engine.total_fired(), 1);
-  // Round 7 is past the cooldown. Round 6's suppressed sample still folded
-  // into the window, so the rolling p99 now sits near 100 ms — spike well
-  // past 2x that and it fires again.
-  engine.Observe(Signals(7, 100'000'000'000), {});
+  // Round 3 drops again, but it is inside the cooldown.
+  engine.Observe(Signals(3, 2), {});
+  EXPECT_EQ(engine.total_fired(), 1);
+  // Round 4 is past the cooldown and drops once more. Round 3's
+  // suppressed sample still became the baseline, so the armed threshold
+  // is 2, not 3.
+  engine.Observe(Signals(4, 1), {});
   EXPECT_EQ(engine.total_fired(), 2);
-}
-
-TEST(AnomalyEngine, AuxLaneStallFiresAboveThreshold) {
-  AnomalyEngine engine(TightOptions(), nullptr, nullptr);
-  RoundSignals s = Signals(1);
-  s.aux_wait_ns = 400;  // under the 500 ns test threshold
-  engine.Observe(s, {});
-  EXPECT_EQ(engine.total_fired(), 0);
-  s = Signals(2);
-  s.aux_wait_ns = 1000;
-  engine.Observe(s, {});
-  ASSERT_EQ(engine.records().size(), 1u);
-  EXPECT_EQ(engine.records().front().rule, AnomalyRule::kAuxLaneStall);
-  EXPECT_STREQ(engine.records().front().signal, "aux_lane_wait_ns");
+  ASSERT_EQ(engine.records().size(), 2u);
+  EXPECT_EQ(engine.records().back().round, 4);
+  EXPECT_EQ(engine.records().back().value, 1);
+  EXPECT_EQ(engine.records().back().threshold, 2);
 }
 
 TEST(AnomalyEngine, MemoryJumpFiresAboveHighWaterMarkAfterWarmup) {
@@ -463,15 +393,16 @@ TEST(AnomalyEngine, RecorderDropOnsetFiresOnceAtTransition) {
 TEST(AnomalyEngine, RegistryCountersTrackFirings) {
   MetricsRegistry registry;
   AnomalyEngine engine(TightOptions(), &registry, nullptr);
-  RoundSignals s = Signals(1);
-  s.aux_wait_ns = 1000;
-  engine.Observe(s, {});
+  engine.Observe(Signals(1, /*certified_T=*/2), {});
+  engine.Observe(Signals(2, 1), {});
   const MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.Find("anomalies_total")->value, 1);
-  EXPECT_EQ(snap.Find("anomaly_aux_lane_stall")->value, 1);
-  EXPECT_EQ(snap.Find("anomaly_round_time_spike")->value, 0);
-  // Everything the anomaly plane registers is wall-clock-driven and must
-  // stay out of the deterministic subset.
+  EXPECT_EQ(snap.Find("anomaly_cert_regression")->value, 1);
+  EXPECT_EQ(snap.Find("anomaly_memory_jump")->value, 0);
+  EXPECT_EQ(snap.Find("anomaly_recorder_drop_onset")->value, 0);
+  // Whether the checker is sampled at all depends on the thread count, so
+  // everything the anomaly plane registers stays out of the deterministic
+  // subset.
   EXPECT_TRUE(registry.Snapshot().Deterministic().empty());
 }
 
@@ -482,18 +413,21 @@ TEST(AnomalyEngine, DumpWritesRecorderWindowAndManifest) {
   AnomalyOptions options = TightOptions();
   options.dump_dir = dir;
   AnomalyEngine engine(options, nullptr, &recorder);
-  RoundSignals s = Signals(9);
-  s.aux_wait_ns = 1000;
+  RoundSignals s = Signals(9, /*certified_T=*/1);
+  s.first_bad_window = 8;
   engine.Observe(s, {});
   ASSERT_EQ(engine.dumps_written(), 1);
-  const std::string stem = dir + "/anomaly-9-aux_lane_stall";
+  const std::string stem = dir + "/anomaly-9-cert_regression";
   std::ifstream jsonl(stem + ".jsonl");
   ASSERT_TRUE(jsonl.good()) << stem;
   std::stringstream body;
   body << jsonl.rdbuf();
-  EXPECT_NE(body.str().find("\"anomaly_rule\":\"aux_lane_stall\""),
+  EXPECT_NE(body.str().find("\"anomaly_rule\":\"cert_regression\""),
             std::string::npos);
   EXPECT_NE(body.str().find("\"anomaly_round\":\"9\""), std::string::npos);
+  EXPECT_NE(
+      body.str().find("\"anomaly_signal\":\"tinterval_first_bad_window\""),
+      std::string::npos);
   std::ifstream manifest(stem + ".manifest.json");
   EXPECT_TRUE(manifest.good()) << stem;
 }
@@ -506,10 +440,9 @@ TEST(AnomalyEngine, DumpCountIsBounded) {
   options.max_dumps = 1;
   options.cooldown_rounds = 0;
   AnomalyEngine engine(options, nullptr, &recorder);
-  for (std::int64_t r = 1; r <= 4; ++r) {
-    RoundSignals s = Signals(r * 2);
-    s.aux_wait_ns = 1000;
-    engine.Observe(s, {});
+  engine.Observe(Signals(1, /*certified_T=*/5), {});  // baseline
+  for (std::int64_t r = 2; r <= 5; ++r) {
+    engine.Observe(Signals(r * 2, 6 - r), {});  // certified-T 4, 3, 2, 1
   }
   EXPECT_EQ(engine.total_fired(), 4);
   EXPECT_EQ(engine.dumps_written(), 1);
@@ -547,8 +480,8 @@ TEST(OpenMetrics, MemoryAndAnomalySeriesCarryLabels) {
   const std::vector<MemorySeries> memory = {{"outbox", 100, 200},
                                             {"with\"quote", 1, 2}};
   const std::vector<AnomalyRecord> anomalies = {
-      {AnomalyRule::kRoundTimeSpike, 5, 100, 10, "round_total_ns"},
-      {AnomalyRule::kRoundTimeSpike, 9, 100, 10, "round_total_ns"},
+      {AnomalyRule::kCertRegression, 5, 1, 2, "certified_T"},
+      {AnomalyRule::kCertRegression, 9, 0, 1, "certified_T"},
       {AnomalyRule::kMemoryJump, 7, 100, 10, "outbox"}};
   const std::string out =
       RenderOpenMetrics(registry.Snapshot(), memory, anomalies);
@@ -559,12 +492,12 @@ TEST(OpenMetrics, MemoryAndAnomalySeriesCarryLabels) {
       out.find("sdn_memory_bytes{subsystem=\"outbox\",stat=\"peak\"} 200"),
       std::string::npos);
   EXPECT_NE(out.find("subsystem=\"with\\\"quote\""), std::string::npos);
-  EXPECT_NE(out.find("sdn_anomaly_records{rule=\"round_time_spike\"} 2"),
+  EXPECT_NE(out.find("sdn_anomaly_records{rule=\"cert_regression\"} 2"),
             std::string::npos);
   EXPECT_NE(out.find("sdn_anomaly_records{rule=\"memory_jump\"} 1"),
             std::string::npos);
   // Rules that never fired do not emit empty series.
-  EXPECT_EQ(out.find("rule=\"cert_regression\""), std::string::npos);
+  EXPECT_EQ(out.find("rule=\"recorder_drop_onset\""), std::string::npos);
 }
 
 TEST(OpenMetrics, WriteToUnopenablePathReturnsFalse) {
