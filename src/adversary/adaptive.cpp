@@ -69,14 +69,6 @@ graph::Graph AdaptiveSortPathAdversary::TopologyFor(
   return graph::Graph(n_, std::move(merged), graph::Graph::SortedEdges{});
 }
 
-void AdaptiveSortPathAdversary::DeltaFor(std::int64_t round,
-                                         const net::AdversaryView& view,
-                                         const graph::Graph& prev,
-                                         graph::TopologyDelta& out) {
-  BuildRoundEdges(round, view, round_edges_);
-  graph::DiffSorted(prev.Edges(), round_edges_, out);
-}
-
 bool AdaptiveSortPathAdversary::RoundEdgesInto(std::int64_t round,
                                                const net::AdversaryView& view,
                                                std::vector<graph::Edge>& out) {

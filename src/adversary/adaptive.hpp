@@ -31,14 +31,11 @@ class AdaptiveSortPathAdversary final : public net::Adversary {
   [[nodiscard]] int interval() const override { return t_; }
   graph::Graph TopologyFor(std::int64_t round,
                            const net::AdversaryView& view) override;
-  /// Native delta: round edges assembled in a reused buffer from the cached
-  /// sorted spine edge lists and diffed against `prev`. Reads PublicState
-  /// through the same call sequence as TopologyFor (same RNG stream).
-  void DeltaFor(std::int64_t round, const net::AdversaryView& view,
-                const graph::Graph& prev, graph::TopologyDelta& out) override;
   /// Fastest path: the full round list straight into the caller's buffer —
   /// no Graph build, no diff. Adaptive topologies cannot be prefetched, so
-  /// this is the one lever that shortens their critical path.
+  /// this is the one lever that shortens their critical path. It never
+  /// declines, so the engine never calls DeltaFor here; direct DeltaFor
+  /// callers get the base class's TopologyFor + diff.
   bool RoundEdgesInto(std::int64_t round, const net::AdversaryView& view,
                       std::vector<graph::Edge>& out) override;
   [[nodiscard]] std::string name() const override;
@@ -63,7 +60,6 @@ class AdaptiveSortPathAdversary final : public net::Adversary {
   std::int64_t current_era_ = -1;
   std::vector<graph::Edge> current_spine_;   // sorted
   std::vector<graph::Edge> previous_spine_;  // sorted; meaningful era >= 1
-  std::vector<graph::Edge> round_edges_;     // reused assembly buffer
 };
 
 }  // namespace sdn::adversary

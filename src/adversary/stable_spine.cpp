@@ -58,15 +58,14 @@ void StableSpineAdversary::AdvanceToEra(std::int64_t era, bool helper) {
       (current_spine_->capacity() + prep_overlap_.capacity()) *
       sizeof(graph::Edge));
   if (helper) {
-    // Under a prefetching engine this runs on its prefetch lane from round
-    // 2 on and on its main thread in round 1. The calls never overlap and
-    // the engine's lane handoff orders them, as AuxLane's single producer
-    // requires.
+    // Under a prefetching engine this runs on the engine's lane from
+    // round 2 on and on its main thread in round 1. The calls never overlap
+    // and the engine's lane handoff orders them, as AuxLane's single
+    // producer requires. The loop above drained any earlier prep.
     prep_era_ = current_era_ + 1;
-    prep_lane_.Submit(
-        util::UniqueTask([this, era = prep_era_, previous = current_spine_] {
-          PrepareEra(era, previous);
-        }));
+    prep_lane_.Submit([this, era = prep_era_, previous = current_spine_] {
+      PrepareEra(era, previous);
+    });
   }
 }
 
@@ -164,9 +163,9 @@ void StableSpineAdversary::BuildRoundEdges(std::int64_t round, bool helper,
   // Publish the round's structural claim (Composition): the round is
   // exactly core ∪ support ∪ fresh, with era numbers as pinned-set ids.
   // The shared spine vectors double as the span-lifetime contract's
-  // owners: a consumer pinning an era's spine (the checker's spine cache,
-  // the async certification lane) holds the shared_ptr, so the set
-  // survives era rotation with zero copies anywhere.
+  // owners: a consumer pinning an era's spine (the checker's spine cache)
+  // holds the shared_ptr, so the set survives era rotation with zero
+  // copies anywhere.
   comp_.core = {current_spine_->data(), current_spine_->size()};
   comp_.core_id = static_cast<std::uint64_t>(current_era_);
   comp_.core_owner = current_spine_;
@@ -188,14 +187,6 @@ graph::Graph StableSpineAdversary::TopologyFor(
   std::vector<graph::Edge> merged;
   BuildRoundEdges(round, view.prefetches_topology(), merged);
   return graph::Graph(n_, std::move(merged), graph::Graph::SortedEdges{});
-}
-
-void StableSpineAdversary::DeltaFor(std::int64_t round,
-                                    const net::AdversaryView& view,
-                                    const graph::Graph& prev,
-                                    graph::TopologyDelta& out) {
-  BuildRoundEdges(round, view.prefetches_topology(), round_edges_);
-  graph::DiffSorted(prev.Edges(), round_edges_, out);
 }
 
 bool StableSpineAdversary::RoundEdgesInto(std::int64_t round,

@@ -61,13 +61,10 @@ class StableSpineAdversary final : public net::Adversary {
   [[nodiscard]] int interval() const override { return t_; }
   graph::Graph TopologyFor(std::int64_t round,
                            const net::AdversaryView& view) override;
-  /// Native delta: assembles the round's sorted edge list in a reused
-  /// buffer and diffs it against `prev` — no per-round Graph (CSR build)
-  /// at all. Consumes the identical volatile-RNG stream as TopologyFor.
-  void DeltaFor(std::int64_t round, const net::AdversaryView& view,
-                const graph::Graph& prev, graph::TopologyDelta& out) override;
   /// Fastest path: writes the round's full sorted-unique edge list straight
   /// into the caller's buffer, skipping both the Graph build and the diff.
+  /// It never declines, so the engine never calls DeltaFor here; direct
+  /// DeltaFor callers get the base class's TopologyFor + diff.
   bool RoundEdgesInto(std::int64_t round, const net::AdversaryView& view,
                       std::vector<graph::Edge>& out) override;
   /// Certification fast path: every round is exactly
@@ -80,20 +77,20 @@ class StableSpineAdversary final : public net::Adversary {
     return round == comp_round_ ? &comp_ : nullptr;
   }
   /// Generator buffers: the current and previous spines, the overlap base,
-  /// the per-round assembly/volatile scratch, and the next era's prep
-  /// outputs. Those are charged from the join that issues the prep: the
-  /// spare overlap buffer at the capacity the prep gets it with, and the
-  /// spine at the size of the spine just joined, since the prep's own
-  /// spine is unknown until its join. The gauge reads nothing the helper
-  /// lane may be writing, so it is a pure function of the round sequence
-  /// and the same whether the prep runs there or inline.
+  /// the volatile scratch, and the next era's prep outputs. Those are
+  /// charged from the join that issues the prep: the spare overlap buffer
+  /// at the capacity the prep gets it with, and the spine at the size of
+  /// the spine just joined, since the prep's own spine is unknown until its
+  /// join. The gauge reads nothing the helper lane may be writing, so it is
+  /// a pure function of the round sequence and the same whether the prep
+  /// runs there or inline.
   [[nodiscard]] std::int64_t BufferBytes() const override {
     const auto vec = [](const auto& v) {
       using T = typename std::decay_t<decltype(v)>::value_type;
       return static_cast<std::int64_t>(v.capacity() * sizeof(T));
     };
-    std::int64_t total = vec(overlap_base_) + vec(round_edges_) +
-                         vec(fresh_edges_) + vec(fresh_keys_) + prep_bytes_;
+    std::int64_t total = vec(overlap_base_) + vec(fresh_edges_) +
+                         vec(fresh_keys_) + prep_bytes_;
     if (current_spine_ != nullptr) total += vec(*current_spine_);
     if (previous_spine_ != nullptr) total += vec(*previous_spine_);
     return total;
@@ -135,7 +132,6 @@ class StableSpineAdversary final : public net::Adversary {
   SpinePtr current_spine_;
   SpinePtr previous_spine_;
   std::vector<graph::Edge> overlap_base_;  // current ∪ previous (T >= 2)
-  std::vector<graph::Edge> round_edges_;  // DeltaFor's reused assembly buffer
   std::vector<graph::Edge> fresh_edges_;  // volatile-edge scratch
   std::vector<std::uint64_t> fresh_keys_;  // packed volatile draws pre-sort
   graph::RoundComposition comp_;     // last built round's structure

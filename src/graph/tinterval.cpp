@@ -230,7 +230,8 @@ std::int64_t TIntervalChecker::LargestConnectedSuffix(std::int64_t r,
 }
 
 bool TIntervalChecker::PushComposition(const RoundComposition& comp,
-                                       std::span<const Edge> round_edges) {
+                                       const Graph& g) {
+  SDN_CHECK(g.num_nodes() == n_);
   if (mode_ == Mode::kNone) mode_ = Mode::kComposition;
   SDN_CHECK_MSG(mode_ == Mode::kComposition,
                 "TIntervalChecker feed methods must not be mixed");
@@ -257,7 +258,7 @@ bool TIntervalChecker::PushComposition(const RoundComposition& comp,
     EnsureSpineVerified(comp.support_id, comp.support, comp.support_owner,
                         comp.core_id, &full_verify);
   }
-  CheckComposition(comp, round_edges, r, full_verify);
+  CheckComposition(comp, g.Edges(), r, full_verify);
 
   const std::int64_t cap = std::min<std::int64_t>(t_, r);
   bool connected = false;

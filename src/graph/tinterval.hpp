@@ -69,10 +69,10 @@ TIntervalReport ValidateTInterval(std::span<const Graph> sequence, int T,
 ///
 /// Span lifetime is a shared-ownership contract: `core_owner` /
 /// `support_owner` hold the vectors the `core` / `support` spans point
-/// into. A consumer (the checker's spine cache, the engine's async
-/// certification lane) retains the shared_ptr instead of copying the
-/// edges, and the adversary may retire the pinned set whenever it likes —
-/// the data outlives it as long as anyone still certifies against it.
+/// into. A consumer (the checker's spine cache) retains the shared_ptr
+/// instead of copying the edges, and the adversary may retire the pinned
+/// set whenever it likes — the data outlives it as long as anyone still
+/// certifies against it.
 /// Owners are required whenever the matching span is non-empty (the
 /// checker enforces it); `fresh` stays a borrowed span, valid only until
 /// the next topology call — consumers that outlive the round copy it
@@ -136,19 +136,7 @@ class TIntervalChecker {
   /// cross-checked against `g` (per-round sampled membership probes, full
   /// union verification on a fixed schedule of first-seen ids); a claim
   /// that fails a check throws CheckError rather than certifying garbage.
-  bool PushComposition(const RoundComposition& comp, const Graph& g) {
-    SDN_CHECK(g.num_nodes() == n_);
-    return PushComposition(comp, g.Edges());
-  }
-
-  /// Span form of the composition push: `round_edges` is the round's full
-  /// sorted edge list (what g.Edges() would be). This is the entry point
-  /// the engine's asynchronous certification lane uses — the lane owns a
-  /// copy of the round's edge list plus the composition (whose core /
-  /// support data is pinned through the shared-ownership contract), so no
-  /// Graph needs to stay alive while certification trails the round.
-  bool PushComposition(const RoundComposition& comp,
-                       std::span<const Edge> round_edges);
+  bool PushComposition(const RoundComposition& comp, const Graph& g);
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::int64_t rounds_seen() const { return rounds_seen_; }
@@ -178,7 +166,7 @@ class TIntervalChecker {
   /// ring, incremental forest, scratch buffers, fresh-edge ring). A pure
   /// function of the pushed round stream, so it is safe to surface as a
   /// memory-budget gauge: identical at any engine thread count and with
-  /// certification synchronous or on the async lane. Spine data held
+  /// certification synchronous or on the engine's lane. Spine data held
   /// through shared owners is the adversary's allocation and is not
   /// double-counted here.
   [[nodiscard]] std::int64_t ApproxBytes() const;

@@ -30,8 +30,9 @@ class AdversaryView {
 
   [[nodiscard]] virtual graph::NodeId num_nodes() const = 0;
 
-  /// True when the engine runs the topology calls on its prefetch lane,
-  /// overlapped with deliver (EngineOptions::prefetch_topology engaged).
+  /// True when the engine runs the topology calls on its auxiliary lane,
+  /// overlapped with the round's probe, send and deliver phases
+  /// (EngineOptions::prefetch_topology engaged).
   /// An adversary may then run its own per-era work on a helper thread;
   /// under the default (false) it starts none.
   [[nodiscard]] virtual bool prefetches_topology() const { return false; }
@@ -95,11 +96,10 @@ class Adversary {
   /// throws CheckError on divergence; tests pin exact equality), and the
   /// core/support spans must carry shared owners
   /// (RoundComposition::core_owner / support_owner): a consumer that needs
-  /// a pinned set beyond the current round — the checker's spine cache,
-  /// the engine's asynchronous certification lane — retains the owner
-  /// instead of copying, so the buffer must not be mutated once published
-  /// under an id (publish a fresh vector per era instead). Only the
-  /// `fresh` span may be a per-round volatile buffer.
+  /// a pinned set beyond the current round — the checker's spine cache —
+  /// retains the owner instead of copying, so the buffer must not be
+  /// mutated once published under an id (publish a fresh vector per era
+  /// instead). Only the `fresh` span may be a per-round volatile buffer.
   [[nodiscard]] virtual bool has_composition() const { return false; }
   [[nodiscard]] virtual const graph::RoundComposition* Composition(
       std::int64_t round) const {

@@ -63,24 +63,26 @@
 // async_certification, fused_send_deliver}, all individually toggleable,
 // all on by default; docs/PERF.md "Pipelining"): the deliver phase is the
 // round's long pole, and three independent overlaps hide the rest of the
-// round behind it. (1) Topology prefetch — for oblivious adversaries a
-// persistent auxiliary lane (util::AuxLane) computes round r+1's
-// delta/edge list concurrently with round r's deliver; calls stay
-// sequential and in round order, so the produced graph sequence is
-// unchanged. The view's prefetches_topology() reports this, and a spine
-// adversary then prepares each era one era ahead on a helper lane of its
-// own, so the per-era spine draw and union leave the prefetch lane's round
-// builds as well. (2) Asynchronous certification — the T-interval checker
-// consumes owned copies of each round's delta or composition claim on a
-// second bounded lane, with a deterministic rendezvous (stats() drains the
-// lane) before any verdict is read; fail-fast runs keep the synchronous
-// checker so an abort lands at the same round as the serial engine.
-// (3) Fused send/deliver — DirectSendProgram nodes compose round r+1's
-// message immediately after their round-r OnReceive, into the inactive
-// half of a double-buffered outbox; the buffers flip in round r+1's send
-// window, after validate/probes, so an abort discards the staged round and
-// the books match the serial engine's exactly. Every overlap preserves
-// bit-identical RunStats (test_determinism's overlap matrix pins it);
+// round behind it. The first two share one persistent auxiliary lane
+// (util::AuxLane) that takes one task per round, submitted as the validate
+// window closes and joined at the top of the next Step() and by stats().
+// (1) Asynchronous certification — the task first streams round r through
+// the T-interval checker in place, against the live topology and the
+// adversary's composition claim or delta_, none of which change before the
+// join; fail-fast runs keep the synchronous checker so an abort lands at
+// the same round as the serial engine. (2) Topology prefetch — for
+// oblivious adversaries the task then computes round r+1's delta/edge list
+// while round r's probes, send and deliver run; calls stay sequential and
+// in round order, so the produced graph sequence is unchanged. The view's
+// prefetches_topology() reports this, and a spine adversary then prepares
+// each era one era ahead on a helper lane of its own, so the per-era spine
+// draw and union leave the round builds as well. (3) Fused send/deliver —
+// DirectSendProgram nodes compose round r+1's message immediately after
+// their round-r OnReceive, into the inactive half of a double-buffered
+// outbox; the buffers flip in round r+1's send window, after
+// validate/probes, so an abort discards the staged round and the books
+// match the serial engine's exactly. Every overlap preserves bit-identical
+// RunStats (test_determinism's overlap matrix pins it);
 // EngineTimings::aux_*_ns report the overlapped work for the
 // critical-path-vs-sum-of-phases efficiency ratio.
 #pragma once
@@ -153,26 +155,26 @@ struct EngineOptions {
   /// so kGather is a pure A/B knob.
   DeliveryMode delivery = DeliveryMode::kDense;
   /// Overlap the next round's topology construction with this round's
-  /// deliver phase on a persistent auxiliary lane. Engages only when the
-  /// adversary is oblivious, threads > 1 and n clears the sharding floor;
-  /// the adversary still sees strictly sequential in-order calls, so
-  /// RunStats is bit-identical on or off — off is a pure A/B knob for the
-  /// pipeline benchmarks. The same rule is what AdversaryView::
-  /// prefetches_topology() reports: when it holds, StableSpineAdversary
-  /// prepares the next era (spine draw, spine union) on its own helper
-  /// lane; otherwise that prep runs inline in the era's first round.
+  /// probe, send and deliver phases on the engine's auxiliary lane.
+  /// Engages only when the adversary is oblivious, threads > 1 and n
+  /// clears the sharding floor; the adversary still sees strictly
+  /// sequential in-order calls, so RunStats is bit-identical on or off —
+  /// off is a pure A/B knob for the pipeline benchmarks. The same rule is
+  /// what AdversaryView::prefetches_topology() reports: when it holds,
+  /// StableSpineAdversary prepares the next era (spine draw, spine union)
+  /// on its own helper lane; otherwise that prep runs inline in the era's
+  /// first round.
   bool prefetch_topology = true;
-  /// Run the streaming T-interval checker on a bounded auxiliary
-  /// certification lane instead of the round's critical path. The lane
-  /// consumes owned copies (delta, or composition claim + round edges), so
-  /// the topology may mutate freely; stats() is the deterministic
-  /// rendezvous — it drains the lane before reading any verdict, and a
-  /// checker error (e.g. a lying composition) surfaces there instead of
-  /// mid-Step. Engages only when threads > 1 in incremental mode with no
-  /// flight recorder (its per-round checker track needs synchronous state)
-  /// and without fail_fast_on_tinterval (fail-fast keeps the synchronous
-  /// checker so the abort round matches the serial engine exactly).
-  /// RunStats is bit-identical on or off.
+  /// Run the streaming T-interval checker on the engine's auxiliary lane
+  /// instead of the round's critical path. The lane task certifies the
+  /// round in place, ahead of any prefetch; stats() is the deterministic
+  /// rendezvous — it joins the lane before reading any verdict, and a
+  /// checker error (e.g. a lying composition) surfaces there or from the
+  /// next Step() instead of mid-round. Engages only when threads > 1 in
+  /// incremental mode with no flight recorder (its per-round checker track
+  /// needs synchronous state) and without fail_fast_on_tinterval
+  /// (fail-fast keeps the synchronous checker so the abort round matches
+  /// the serial engine exactly). RunStats is bit-identical on or off.
   bool async_certification = true;
   /// Fuse the send phase into the previous round's deliver pass:
   /// DirectSendProgram nodes compose round r+1's message right after their
@@ -199,7 +201,7 @@ struct EngineOptions {
   /// recorder attached or not (test_determinism pins it).
   obs::FlightRecorder* recorder = nullptr;
   /// Collect per-round histograms (edges, deliveries, every phase's
-  /// latency and the topology-lane join wait) into a metrics registry
+  /// latency and the auxiliary lane's join wait) into a metrics registry
   /// snapshotted as RunStats::metrics. Off by default; like the recorder,
   /// off costs one branch per round.
   bool collect_metrics = false;
@@ -256,18 +258,20 @@ class Engine final : private AdversaryView {
 
     RoundClock clock;
     clock.Stamp(kStart);
-    // One topology call per round, in round order: either the prefetch
-    // launched by the previous Step or a synchronous call here. Both run
-    // ProduceTopology, so the adversary sees the identical call sequence.
-    if (prefetch_pending_) {
-      // Join the lane task before round_ or topo_ change (the in-flight
-      // call reads both); Drain rethrows any adversary error and orders
-      // the task's writes before our reads. The join wait feeds the
-      // round_aux_wait_ns histogram.
-      topo_lane_.Drain();
+    if (lane_pending_) {
+      // Join the previous round's lane task before round_ or topo_ change
+      // (it reads both). Drain orders the task's writes before our reads
+      // and rethrows a checker or adversary error, on this call and every
+      // later one. The join wait feeds the round_aux_wait_ns histogram.
+      lane_.Drain();
       clock.aux_wait_ns = Ns(clock.at[kStart], Clock::now());
+      lane_pending_ = false;
+    }
+    // One topology call per round, in round order: either the lane task
+    // prefetched it or it runs here. Both run ProduceTopology, so the
+    // adversary sees the identical call sequence.
+    if (prefetch_pending_) {
       prefetch_pending_ = false;
-      stats_.timings.aux_topology_ns += prefetch_ns_;
       ++round_;
     } else {
       ProduceTopology(++round_);
@@ -313,62 +317,8 @@ class Engine final : private AdversaryView {
     mem_adversary_->SetCurrent(adversary_.BufferBytes());
     clock.Stamp(kTopologyEnd);
 
-    if (checker_.has_value() && async_cert_) {
-      // Certification lane: ship this round's claim as owned copies and
-      // let the checker consume it off the critical path. The bounded
-      // queue backpressures Submit, so the lane lags at most
-      // kCertQueueDepth rounds; stats() is the rendezvous that drains it
-      // before any verdict (or checker error) is read. The round_ok value
-      // is only consumed by fail-fast, which pins the synchronous path.
-      if (use_composition_) {
-        const graph::RoundComposition* comp = adversary_.Composition(round_);
-        SDN_CHECK_MSG(comp != nullptr,
-                      "adversary advertises has_composition but returned no "
-                      "composition for round "
-                          << round_);
-        // The claim's core/support spans ride on their shared owners (the
-        // span-lifetime contract — no spine copy); only the volatile
-        // fresh span and the round's edge list need owned copies. Vector
-        // moves keep the heap buffer, so spans fixed up at execution time
-        // survive the closure's moves through the queue.
-        cert_lane_.Submit(util::UniqueTask(
-            [this, jc = *comp,
-             fresh = std::vector<graph::Edge>(comp->fresh.begin(),
-                                              comp->fresh.end()),
-             edges = std::vector<graph::Edge>(g.Edges().begin(),
-                                              g.Edges().end())]() mutable {
-              const auto c0 = Clock::now();
-              jc.fresh = fresh;
-              (void)checker_->PushComposition(
-                  jc, std::span<const graph::Edge>(edges));
-              cert_ns_ += Ns(c0, Clock::now());
-            }));
-      } else {
-        cert_lane_.Submit(util::UniqueTask([this, d = delta_]() {
-          const auto c0 = Clock::now();
-          (void)checker_->PushDelta(d);
-          cert_ns_ += Ns(c0, Clock::now());
-        }));
-      }
-    } else if (checker_.has_value()) {
-      bool round_ok;
-      if (use_composition_) {
-        // Certification fast path: the adversary's structural claim for
-        // this round (cross-checked inside the checker) — no delta needed.
-        const graph::RoundComposition* comp = adversary_.Composition(round_);
-        SDN_CHECK_MSG(comp != nullptr,
-                      "adversary advertises has_composition but returned no "
-                      "composition for round "
-                          << round_);
-        round_ok = checker_->PushComposition(*comp, g);
-      } else if (incremental_) {
-        // The checker consumes the same delta the topology was built from.
-        round_ok = checker_->PushDelta(delta_);
-      } else {
-        // From-scratch path: the checker diffs internally.
-        round_ok = checker_->Push(g);
-      }
-      if (!round_ok && options_.fail_fast_on_tinterval) {
+    if (checker_.has_value() && !async_cert_) {
+      if (!Certify() && options_.fail_fast_on_tinterval) {
         // Mirror the bandwidth-violation fail shape: record, close the
         // books, surface through the recorder, then throw from Step().
         stats_.rounds = round_;
@@ -390,6 +340,33 @@ class Engine final : private AdversaryView {
                           << " has a disconnected intersection "
                              "(fail_fast_on_tinterval)");
       }
+    }
+    // The round's off-critical-path work, as one task on the lane: certify
+    // this round in place, then build the next one. Everything the task
+    // reads (topo_.View(), delta_, the adversary's composition claim)
+    // stays untouched until the next Step or stats() joins it, and nothing
+    // else reads what it writes (the checker, ProduceTopology's outputs)
+    // before then. For an oblivious adversary the build reads no node
+    // state, so running it beside the probe, send and deliver phases is
+    // race-free. It is submitted before a bandwidth abort can throw, so an
+    // aborted run certifies the same rounds as the serial engine.
+    const bool prefetch = prefetch_enabled_ && round_ < options_.max_rounds;
+    if (async_cert_ || prefetch) {
+      lane_pending_ = true;
+      prefetch_pending_ = prefetch;
+      lane_.Submit([this, prefetch] {
+        auto t0 = Clock::now();
+        if (async_cert_) {
+          (void)Certify();  // only fail-fast reads the verdict mid-run
+          const auto t1 = Clock::now();
+          aux_validate_ns_ += Ns(t0, t1);
+          t0 = t1;
+        }
+        if (prefetch) {
+          ProduceTopology(round_ + 1);
+          aux_topology_ns_ += Ns(t0, Clock::now());
+        }
+      });
     }
     clock.Stamp(kValidateEnd);
 
@@ -491,24 +468,6 @@ class Engine final : private AdversaryView {
       SDN_CHECK_MSG(false, "message of " << v.bits << " bits exceeds budget "
                                          << stats_.bit_limit << " at node "
                                          << v.node << " round " << v.round);
-    }
-
-    // Overlap the next round's topology with the deliver phase: for an
-    // oblivious adversary the call reads no node state, so running it on
-    // the persistent auxiliary lane while OnReceive mutates the nodes is
-    // race-free and the produced call sequence is identical to the
-    // synchronous schedule. The lane reads topo_.View(), which is not
-    // touched again until the next Step drains the lane, and writes only
-    // ProduceTopology's outputs (delta_ included: this round's checker and
-    // trace recorder are done with it), which nothing reads before that
-    // drain.
-    if (prefetch_enabled_ && round_ < options_.max_rounds) {
-      prefetch_pending_ = true;
-      topo_lane_.Submit(util::UniqueTask([this, r = round_ + 1]() {
-        const auto p0 = Clock::now();
-        ProduceTopology(r);
-        prefetch_ns_ = Ns(p0, Clock::now());
-      }));
     }
 
     // Deliver phase. Zero-copy either way. Dense path (all-sent rounds
@@ -652,7 +611,7 @@ class Engine final : private AdversaryView {
       if (anomaly_ != nullptr) {
         obs::RoundSignals sig;
         sig.round = round_;
-        // Under async certification the checker runs on its own lane and
+        // Under async certification the checker runs on the lane and
         // reading it here would race; certified_T = -1 means "not sampled"
         // and the cert-regression rule skips the round. Recorder-attached
         // runs (the only ones that can dump) always have the synchronous
@@ -688,13 +647,14 @@ class Engine final : private AdversaryView {
 
   /// Snapshot of the metrics so far (valid mid-run and after completion).
   [[nodiscard]] RunStats stats() const {
-    // Deterministic rendezvous with the certification lane: every claim
-    // submitted so far is consumed — and any checker error (e.g. a lying
-    // composition) rethrown — before a verdict is read, so the snapshot
-    // equals the synchronous engine's at the same round.
-    cert_lane_.Drain();
+    // Deterministic rendezvous with the lane: the last round is certified
+    // — and any checker or adversary error (e.g. a lying composition)
+    // rethrown — before a verdict is read, so the snapshot equals the
+    // synchronous engine's at the same round.
+    lane_.Drain();
     RunStats out = stats_;
-    out.timings.aux_validate_ns += cert_ns_;
+    out.timings.aux_topology_ns += aux_topology_ns_;
+    out.timings.aux_validate_ns += aux_validate_ns_;
     out.all_decided = started_ && undecided_ == 0;
     out.tinterval_validated = options_.validate_tinterval && started_;
     out.tinterval_ok = !checker_.has_value() || checker_->ok();
@@ -782,10 +742,6 @@ class Engine final : private AdversaryView {
   static constexpr std::int64_t kMinShardNodes = 64;
   static constexpr std::int64_t kMaxShards = 64;
 
-  /// Async-certification queue depth: the checker may lag the round loop
-  /// by at most this many rounds before Submit backpressures the producer.
-  static constexpr std::size_t kCertQueueDepth = 4;
-
   /// Per-shard accumulator for one phase; merged in shard order after the
   /// barrier. Cache-line aligned so neighboring shards don't false-share.
   struct alignas(64) ShardAccum {
@@ -845,7 +801,7 @@ class Engine final : private AdversaryView {
   static constexpr std::size_t kOther = 5;
   static constexpr std::size_t kTotal = 6;
 
-  /// One round's clock: each boundary read once, the topology lane's join
+  /// One round's clock: each boundary read once, the auxiliary lane's join
   /// wait, and the per-phase durations CloseRound derives from them.
   struct RoundClock {
     std::array<Clock::time_point, kNumMarks> at{};
@@ -870,13 +826,14 @@ class Engine final : private AdversaryView {
   }
 
   /// Produces round r's topology for the topology section of Step, which
-  /// either calls it inline or joins the prefetch lane task that ran it.
+  /// either calls it inline or joins the lane task that ran it.
   /// From-scratch mode builds the whole graph with TopologyFor. Incremental
   /// mode takes RoundEdgesInto whenever the adversary accepts it, running
   /// DiffSorted only when a consumer needs the delta, and DeltaFor
   /// otherwise; the first decline pins DeltaFor for the rest of the run.
-  /// Writes only state the deliver phase does not read: topo_'s edit
-  /// buffer, delta_ and the members declared next to produced_graph_.
+  /// Writes only state the probe, send and deliver phases do not read:
+  /// topo_'s edit buffer, delta_ and the members declared next to
+  /// produced_graph_.
   void ProduceTopology(std::int64_t r) {
     if (!incremental_) {
       produced_graph_ = adversary_.TopologyFor(r, *this);
@@ -892,6 +849,24 @@ class Engine final : private AdversaryView {
     }
     topo_direct_supported_ = false;
     adversary_.DeltaFor(r, *this, topo_.View(), delta_);
+  }
+
+  /// Streams round_'s topology through the checker: by the adversary's
+  /// composition claim (cross-checked inside the checker) when it offers
+  /// one, else by the delta the topology was built from, else (from
+  /// scratch) by diffing internally. Runs in the validate window or at the
+  /// head of the lane task. Returns the checker's verdict so far.
+  bool Certify() {
+    const graph::Graph& g = last_topology();
+    if (use_composition_) {
+      const graph::RoundComposition* comp = adversary_.Composition(round_);
+      SDN_CHECK_MSG(comp != nullptr,
+                    "adversary advertises has_composition but returned no "
+                    "composition for round "
+                        << round_);
+      return checker_->PushComposition(*comp, g);
+    }
+    return incremental_ ? checker_->PushDelta(delta_) : checker_->Push(g);
   }
 
   /// Runs fn(shard, begin, end) over all shards — on the pool when parallel,
@@ -1103,20 +1078,18 @@ class Engine final : private AdversaryView {
     shards_ = std::clamp<std::int64_t>(n_ / kMinShardNodes, 1, kMaxShards);
     lanes_ = static_cast<int>(std::min<std::int64_t>(threads, shards_));
     pool_ = lanes_ > 1 ? &util::ThreadPool::Shared() : nullptr;
-    // Prefetch runs on the persistent topology lane; only worth it at
-    // sizes where a round costs real work. Gated on threads > 1 so
-    // `threads = 1` keeps the round loop itself single-threaded.
-    // Prefetch composes with the composition fast path: the checker (or
-    // the cert lane's copy) reads the claimed spans right after the
-    // topology section, and the next round's overlapped build (which would
-    // invalidate them) only launches after the send phase — the lane drain
-    // at the top of the next Step orders the accesses.
+    // Prefetch runs on the lane; only worth it at sizes where a round
+    // costs real work. Gated on threads > 1 so `threads = 1` keeps the
+    // round loop itself single-threaded. Prefetch composes with the
+    // composition fast path: Certify reads the claimed spans in the
+    // validate window or at the head of the lane task, and the next
+    // round's build (which would invalidate them) runs after it.
     prefetch_enabled_ = options_.prefetch_topology && threads > 1 &&
                         n_ >= 2 * kMinShardNodes && adversary_.oblivious();
     // Async certification excludes exactly the configurations that read
     // checker state mid-round: fail-fast (the verdict gates the round) and
-    // a flight recorder (its per-round kCheckerWindow track). stats() is
-    // the rendezvous for everything else.
+    // a flight recorder (its per-round kCheckerWindow track). The lane
+    // joins at the next Step or stats() cover everything else.
     async_cert_ = checker_.has_value() && options_.async_certification &&
                   incremental_ && !options_.fail_fast_on_tinterval &&
                   rec_ == nullptr && threads > 1;
@@ -1271,18 +1244,19 @@ class Engine final : private AdversaryView {
   // Pipelining state. The double-buffered outbox halves (the second stays
   // empty unless fused; fused mode flips live_buf_ each round and
   // outbox_/sent_ above always alias the live half),
-  // the staged-send accumulators, and the pending topology prefetch (its
-  // task writes the ProduceTopology outputs above, read after the drain
-  // at the top of the next Step). prefetch_ns_/cert_ns_ are lane-side wall
-  // clocks surfaced as EngineTimings::aux_*_ns at the rendezvous points.
+  // the staged-send accumulators, and the pending lane task (when it
+  // prefetches, it writes the ProduceTopology outputs above, read after
+  // the join at the top of the next Step). aux_*_ns_ are lane-side wall
+  // clocks that stats() adds to EngineTimings::aux_*_ns after its join.
   std::vector<typename A::Message> outbox_bufs_[2];
   std::vector<unsigned char> sent_bufs_[2];
   int live_buf_ = 0;
   bool staged_valid_ = false;
   std::vector<ShardAccum> staged_accum_;
-  bool prefetch_pending_ = false;
-  std::int64_t prefetch_ns_ = 0;
-  std::int64_t cert_ns_ = 0;
+  bool lane_pending_ = false;      // a lane task awaits the next join
+  bool prefetch_pending_ = false;  // that task builds the next round
+  std::int64_t aux_topology_ns_ = 0;
+  std::int64_t aux_validate_ns_ = 0;
 
   // Memory accounting (EnsureStarted): budget_ points at the caller's
   // MemoryBudget or the engine-owned fallback; gauge pointers are resolved
@@ -1317,13 +1291,12 @@ class Engine final : private AdversaryView {
   std::int64_t obs_cert_ = -1;          // last emitted certified-T
   std::int64_t obs_hw_bits_ = 0;  // last emitted bandwidth high water
 
-  // Auxiliary pipelining lanes — declared last so their destructors (which
-  // join any in-flight task) run before the members those tasks touch
+  // The auxiliary pipelining lane — declared last so its destructor
+  // (which joins a running task) runs before the members the task touches
   // (adversary_, topo_, delta_, checker_, ProduceTopology's outputs) are
-  // destroyed. cert_lane_ is mutable because const stats() is its
-  // deterministic rendezvous.
-  util::AuxLane topo_lane_;
-  mutable util::AuxLane cert_lane_{kCertQueueDepth};
+  // destroyed. Mutable because const stats() is a deterministic
+  // rendezvous.
+  mutable util::AuxLane lane_;
 };
 
 }  // namespace sdn::net

@@ -39,17 +39,17 @@ struct EngineTimings {
   std::int64_t other_ns = 0;     ///< residual: merges, bookkeeping, tracing
   std::int64_t total_ns = 0;     ///< sum of all Step() wall time
 
-  /// Work executed on the auxiliary lanes, *off* the critical path (the
-  /// pipelined engine, docs/PERF.md "Pipelining"). These windows run
-  /// concurrently with the named phases above and are deliberately outside
-  /// the partition identity: total_ns stays the critical-path wall time,
-  /// and aux_* record how much phase work the overlap hid. When prefetch is
-  /// active, topology_ns shrinks to the join wait and the build cost moves
-  /// here; likewise validate_ns under the async certification lane. Sum of
-  /// phases = total_ns + aux_topology_ns + aux_validate_ns; overlap
+  /// Work executed on the engine's auxiliary lane, *off* the critical
+  /// path (the pipelined engine, docs/PERF.md "Pipelining"). These windows
+  /// run concurrently with the named phases above and are deliberately
+  /// outside the partition identity: total_ns stays the critical-path wall
+  /// time, and aux_* record how much phase work the overlap hid. When
+  /// prefetch is active, topology_ns shrinks to the join wait and the build
+  /// cost moves here; likewise validate_ns under async certification. Sum
+  /// of phases = total_ns + aux_topology_ns + aux_validate_ns; overlap
   /// efficiency = that sum / total_ns (>= 1; 1.0 = no overlap happened).
-  std::int64_t aux_topology_ns = 0;  ///< prefetch lane: next round's build
-  std::int64_t aux_validate_ns = 0;  ///< certification lane: checker pushes
+  std::int64_t aux_topology_ns = 0;  ///< lane: next round's build
+  std::int64_t aux_validate_ns = 0;  ///< lane: checker pushes
 
   [[nodiscard]] double TotalSeconds() const;
   /// Engine throughput; 0 when no time was recorded yet.

@@ -80,9 +80,7 @@ void FlightRecorder::WriteJsonl(std::ostream& os,
        << "\",\"label\":\"" << e.label << "\",\"round\":" << e.round
        << ",\"t_ns\":" << e.t_ns;
     if (e.dur_ns != 0) os << ",\"dur_ns\":" << e.dur_ns;
-    os << ",\"a\":" << e.a << ",\"b\":" << e.b;
-    if (e.c != 0) os << ",\"c\":" << e.c;
-    os << "}\n";
+    os << ",\"a\":" << e.a << ",\"b\":" << e.b << ",\"c\":" << e.c << "}\n";
   }
 }
 

@@ -4,65 +4,48 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <utility>
 
 #include "util/check.hpp"
 
 namespace sdn::util {
-
-AuxLane::AuxLane(std::size_t capacity) : capacity_(capacity) {
-  SDN_CHECK(capacity_ >= 1);
-}
 
 AuxLane::~AuxLane() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (!started_) return;
     stop_ = true;
-    queue_.clear();  // still-queued tasks are abandoned, by contract
   }
   worker_cv_.notify_all();
   thread_.join();
 }
 
-void AuxLane::Submit(UniqueTask task) {
+void AuxLane::Submit(std::function<void()> task) {
   std::unique_lock<std::mutex> lock(mutex_);
+  SDN_CHECK_MSG(!busy_, "AuxLane::Submit before the previous task drained");
+  if (error_) return;  // poisoned: Drain() keeps reporting the failure
   if (!started_) {
     started_ = true;
     thread_ = std::thread([this] { Loop(); });
   }
-  producer_cv_.wait(lock, [this] {
-    return queue_.size() + (running_ ? 1 : 0) < capacity_;
-  });
-  if (error_) return;  // lane is poisoned until Drain() reports it
-  queue_.push_back(std::move(task));
+  task_ = std::move(task);
+  busy_ = true;
   lock.unlock();
   worker_cv_.notify_one();
 }
 
 void AuxLane::Drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (!started_) return;
-  producer_cv_.wait(lock, [this] { return queue_.empty() && !running_; });
-  if (error_) {
-    std::exception_ptr e = std::exchange(error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(e);
-  }
-}
-
-bool AuxLane::idle() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.empty() && !running_;
+  producer_cv_.wait(lock, [this] { return !busy_; });
+  if (error_) std::rethrow_exception(error_);
 }
 
 void AuxLane::Loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    worker_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    worker_cv_.wait(lock, [this] { return stop_ || task_ != nullptr; });
     if (stop_) return;
-    UniqueTask task = std::move(queue_.front());
-    queue_.pop_front();
-    running_ = true;
+    const std::function<void()> task = std::exchange(task_, nullptr);
     lock.unlock();
     std::exception_ptr error;
     try {
@@ -71,11 +54,8 @@ void AuxLane::Loop() {
       error = std::current_exception();
     }
     lock.lock();
-    running_ = false;
-    if (error) {
-      if (!error_) error_ = error;
-      queue_.clear();  // downstream tasks would consume poisoned state
-    }
+    error_ = error;
+    busy_ = false;
     producer_cv_.notify_all();
   }
 }

@@ -24,92 +24,54 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace sdn::util {
 
-/// Type-erased move-only callable. std::function demands copyability, but
-/// auxiliary-lane tasks own per-round buffers (deltas, composition copies)
-/// that are moved into the closure exactly once.
-class UniqueTask {
- public:
-  UniqueTask() = default;
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, UniqueTask>>>
-  UniqueTask(F&& f)  // NOLINT(google-explicit-constructor)
-      : impl_(std::make_unique<Model<std::decay_t<F>>>(std::forward<F>(f))) {}
-
-  explicit operator bool() const { return impl_ != nullptr; }
-  void operator()() { impl_->Run(); }
-
- private:
-  struct Concept {
-    virtual ~Concept() = default;
-    virtual void Run() = 0;
-  };
-  template <typename F>
-  struct Model final : Concept {
-    explicit Model(F fn) : f(std::move(fn)) {}
-    void Run() override { f(); }
-    F f;
-  };
-  std::unique_ptr<Concept> impl_;
-};
-
-/// A persistent auxiliary lane: one dedicated thread draining a bounded
-/// FIFO of tasks. This is the engine's overlap primitive — the topology
-/// prefetch and the asynchronous certification queue each own one lane and
-/// feed it one task per round, so overlap costs a queue handoff instead of
-/// the thread launch per round that std::async paid.
+/// A persistent auxiliary lane: one dedicated thread that runs at most one
+/// task at a time. The engine's off-critical-path round work and a spine
+/// adversary's era prep each own one lane, so overlap costs a handoff
+/// instead of the thread launch per task that std::async paid.
 ///
 /// Semantics:
-///   - Submit() enqueues; it blocks while `capacity` tasks are already
-///     queued or running (bounded-queue backpressure, so a slow consumer
-///     can lag at most `capacity` rounds behind the producer).
-///   - Drain() blocks until every submitted task has finished, then
-///     rethrows the first task exception if any (once). After a task
-///     throws, the tasks queued behind it are discarded — they would have
-///     consumed state downstream of the failure.
-///   - The destructor stops the lane without running still-queued tasks
-///     (a task already executing finishes first). Callers that need the
-///     results must Drain() before destruction.
-///   - Single producer: Submit/Drain must be called from one thread.
+///   - Submit() hands the lane its one task. The previous task must have
+///     been drained first (checked).
+///   - Drain() blocks until the task has finished, then rethrows the first
+///     task exception, if any, on every call: a failed lane stays poisoned,
+///     so no caller can go on past the failure. Submit() on a poisoned
+///     lane runs nothing.
+///   - The destructor stops the lane; a task already executing finishes
+///     first, and a submitted one that has not started is dropped.
+///     Callers that need the result must Drain() before destruction.
+///   - Single producer: Submit/Drain must be called from one thread at a
+///     time, ordered by the caller.
 ///
 /// The thread starts lazily on the first Submit, so an idle lane (overlap
 /// disabled, serial engine) costs nothing.
 class AuxLane {
  public:
-  explicit AuxLane(std::size_t capacity = 1);
+  AuxLane() = default;
   ~AuxLane();
 
   AuxLane(const AuxLane&) = delete;
   AuxLane& operator=(const AuxLane&) = delete;
 
-  void Submit(UniqueTask task);
+  void Submit(std::function<void()> task);
   void Drain();
-  /// True when no task is queued or running (error state counts as idle;
-  /// Drain() still reports it).
-  [[nodiscard]] bool idle() const;
 
  private:
   void Loop();
 
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable producer_cv_;  // queue has room / lane is idle
-  std::condition_variable worker_cv_;    // queue non-empty / stop
-  std::deque<UniqueTask> queue_;
-  std::exception_ptr error_;  // first task exception; cleared by Drain
-  bool running_ = false;      // a task is executing right now
+  std::mutex mutex_;
+  std::condition_variable producer_cv_;  // the task finished
+  std::condition_variable worker_cv_;    // a task was submitted / stop
+  std::function<void()> task_;  // submitted, not yet picked up
+  bool busy_ = false;           // submitted and not yet finished
+  std::exception_ptr error_;    // first task exception; never cleared
   bool stop_ = false;
   bool started_ = false;
   std::thread thread_;

@@ -329,7 +329,7 @@ void ExpectSameStats(const net::RunStats& a, const net::RunStats& b,
 /// to the from-scratch path, with validation and probes on.
 TEST(IncrementalEngine, RunStatsMatchFromScratchPath) {
   // n = 192 at threads = 2 runs both paths' topology producer on the
-  // prefetch lane (oblivious adversaries only).
+  // engine's lane (oblivious adversaries only).
   for (const int threads : {1, 2}) {
     for (const std::string& kind :
          {std::string("spine-gnp"), std::string("spine-expander"),

@@ -92,9 +92,9 @@ void CheckThreadInvariance(Algorithm algorithm, const std::string& adversary,
 // One overlap-matrix sweep: an all-overlaps-off serial run is the
 // reference; each pipelining toggle alone, and all three together, must
 // reproduce it bit-for-bit at threads 1, 2 and hardware. Certification is
-// ON here (unlike the thread-invariance tests above) so the
-// async-certification lane is genuinely exercised and its verdict fields
-// are compared against the synchronous checker's.
+// ON here (unlike the thread-invariance tests above) so certification on
+// the engine's lane is genuinely exercised and its verdict fields are
+// compared against the synchronous checker's.
 void CheckOverlapInvariance(Algorithm algorithm, const std::string& adversary,
                             std::int64_t max_rounds) {
   RunConfig config;
@@ -172,9 +172,8 @@ TEST(Determinism, KloCommitteeOnAdaptiveAdversary) {
 }
 
 // Overlap matrix, oblivious arm: spine-gnp claims compositions, so the
-// async-certification rows here push composition claims (+ owned edge
-// copies) through the certification lane, and prefetch + fusion both
-// engage at threads > 1.
+// async-certification rows here certify composition claims in place on
+// the engine's lane, and prefetch + fusion both engage at threads > 1.
 TEST(Determinism, OverlapTogglesOnObliviousSpine) {
   CheckOverlapInvariance(Algorithm::kHjswyCensus, "spine-gnp", 100'000);
 }
@@ -190,9 +189,9 @@ TEST(Determinism, OverlapTogglesOnAdaptiveAdversary) {
 // Overlap matrix, streaming arm: record a spine trace to disk, then replay
 // it through StreamingTraceAdversary — delta-native, strictly sequential
 // DeltaFor, not registered in the factory, so this row runs the engine
-// directly. The single-slot prefetch lane must preserve the reader's
-// in-order contract, and the async checker must certify from the owned
-// delta copies while the trace reader's buffers are reused underneath it.
+// directly. The lane must preserve the reader's in-order contract, and the
+// async checker must certify each round's delta before the prefetch
+// behind it in the same lane task overwrites that delta.
 TEST(Determinism, OverlapTogglesOnStreamingTrace) {
   const graph::NodeId n = 192;
   const std::int64_t recorded_rounds = 48;
@@ -394,6 +393,21 @@ TEST(Determinism, InjectedFaultFiresExactlyOneAnomalyWithDump) {
             std::string::npos);
   EXPECT_NE(body.str().find("\"anomaly_rule\":\"cert_regression\""),
             std::string::npos);
+  // Round 12 alone is disconnected, so certified-T falls to 0, and the
+  // round's checker_window line says so instead of omitting `c`.
+  const std::string fault_round =
+      "\"round\":" + std::to_string(kFaultRound) + ",";
+  std::istringstream lines(body.str());
+  int windows = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"kind\":\"checker_window\"") == std::string::npos ||
+        line.find(fault_round) == std::string::npos) {
+      continue;
+    }
+    ++windows;
+    EXPECT_NE(line.find(",\"c\":0}"), std::string::npos) << line;
+  }
+  EXPECT_EQ(windows, 1);
   std::ifstream manifest(stem + ".manifest.json");
   EXPECT_TRUE(manifest.good()) << stem;
   std::remove((stem + ".jsonl").c_str());

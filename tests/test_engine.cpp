@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <string>
 #include <span>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -952,7 +954,7 @@ TEST(Engine, AllSentRoundsDeliverDenseByDefault) {
   // on every round. n = 256 is 4 shards, so threads = 2 runs both backings
   // on the pool. StaticAdversary keeps the default RoundEdgesInto, which
   // declines: the first decline pins DeltaFor, so no round is assigned
-  // directly (at threads = 2 the decline happens on the prefetch lane).
+  // directly (at threads = 2 the decline happens on the engine's lane).
   const graph::NodeId n = 256;
   for (const int threads : {1, 2}) {
     for (const bool gather : {false, true}) {
@@ -998,7 +1000,7 @@ TEST(Engine, TopologyAssignsDirectlyWheneverTheAdversaryAccepts) {
   // spine-gnp implements RoundEdgesInto. A topology trace makes the run a
   // delta consumer, and every round is still assigned directly, with the
   // delta diffed from it. threads = 2 at n = 256 runs the producer on the
-  // prefetch lane.
+  // engine's lane.
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
   config.n = 256;
@@ -1022,6 +1024,107 @@ TEST(Engine, TopologyAssignsDirectlyWheneverTheAdversaryAccepts) {
     EXPECT_EQ(engine.topology_direct_rounds(), stats.rounds);
   }
   std::remove(path.c_str());
+}
+
+/// Oblivious cycle whose direct round list throws at round 5. Under a
+/// prefetching engine that call runs on the lane, one round early.
+class ThrowingCycleAdversary final : public Adversary {
+ public:
+  explicit ThrowingCycleAdversary(graph::NodeId n) : cycle_(graph::Cycle(n)) {}
+  [[nodiscard]] graph::NodeId num_nodes() const override {
+    return cycle_.num_nodes();
+  }
+  [[nodiscard]] int interval() const override { return 1; }
+  graph::Graph TopologyFor(std::int64_t, const AdversaryView&) override {
+    return cycle_;
+  }
+  bool RoundEdgesInto(std::int64_t round, const AdversaryView&,
+                      std::vector<graph::Edge>& out) override {
+    out.clear();
+    if (round == 5) throw std::runtime_error("round 5 failed");
+    out.assign(cycle_.Edges().begin(), cycle_.Edges().end());
+    return true;
+  }
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+
+ private:
+  graph::Graph cycle_;
+};
+
+TEST(Engine, FailedLaneTaskFailsEveryLaterStep) {
+  // Round 5's topology is built on the lane during round 4 and fails. The
+  // Step that joins it throws, and so must every retry and stats(): a
+  // retry that went on would commit whatever the failed call left in the
+  // edit buffer as round 5.
+  const graph::NodeId n = 256;
+  ThrowingCycleAdversary adv(n);
+  EngineOptions opts;
+  opts.threads = 2;
+  opts.validate_tinterval = false;
+  Engine<InboxCounter> engine(
+      std::vector<InboxCounter>(static_cast<std::size_t>(n), InboxCounter(30)),
+      adv, opts);
+  for (int r = 1; r <= 4; ++r) ASSERT_TRUE(engine.Step()) << "round " << r;
+  EXPECT_THROW(engine.Step(), std::runtime_error);
+  EXPECT_THROW(engine.Step(), std::runtime_error);
+  EXPECT_THROW((void)engine.stats(), std::runtime_error);
+  EXPECT_EQ(engine.current_round(), 4);
+}
+
+TEST(Engine, LaneWorkShowsInAuxTimingsExactlyWhenItsOptionEngages) {
+  // The engine's one lane certifies a round (async_certification) and then
+  // builds the next one (prefetch_topology, oblivious adversaries only).
+  // Each shows in its lane-side clock exactly when its option engages,
+  // and neither moves a core stat. adaptive-desc is not oblivious, so its
+  // lane task only certifies.
+  struct Row {
+    const char* kind;
+    bool prefetch;
+    bool async_cert;
+  };
+  constexpr Row kRows[] = {
+      {"spine-gnp", false, false},    {"spine-gnp", true, false},
+      {"spine-gnp", false, true},     {"spine-gnp", true, true},
+      {"adaptive-desc", true, false}, {"adaptive-desc", true, true}};
+  const graph::NodeId n = 256;
+  std::map<std::string, RunStats> reference;
+  for (const Row& row : kRows) {
+    SCOPED_TRACE(std::string(row.kind) +
+                 " prefetch=" + std::to_string(row.prefetch) +
+                 " async_cert=" + std::to_string(row.async_cert));
+    adversary::AdversaryConfig config;
+    config.kind = row.kind;
+    config.n = n;
+    config.T = 2;
+    config.seed = 17;
+    const auto adv = adversary::MakeAdversary(config);
+    EngineOptions opts;
+    opts.threads = 2;
+    opts.prefetch_topology = row.prefetch;
+    opts.async_certification = row.async_cert;
+    Engine<InboxCounter> engine(
+        std::vector<InboxCounter>(static_cast<std::size_t>(n),
+                                  InboxCounter(30)),
+        *adv, opts);
+    const RunStats stats = engine.Run();
+    EXPECT_EQ(stats.timings.aux_validate_ns > 0, row.async_cert);
+    EXPECT_EQ(stats.timings.aux_topology_ns > 0,
+              row.prefetch && adv->oblivious());
+    const auto [it, first] = reference.emplace(row.kind, stats);
+    if (first) continue;
+    const RunStats& ref = it->second;
+    EXPECT_EQ(stats.rounds, ref.rounds);
+    EXPECT_EQ(stats.decide_round, ref.decide_round);
+    EXPECT_EQ(stats.messages_sent, ref.messages_sent);
+    EXPECT_EQ(stats.messages_delivered, ref.messages_delivered);
+    EXPECT_EQ(stats.sends_per_node, ref.sends_per_node);
+    EXPECT_EQ(stats.edges_processed, ref.edges_processed);
+    EXPECT_EQ(stats.tinterval_ok, ref.tinterval_ok);
+    EXPECT_EQ(stats.certified_T, ref.certified_T);
+    EXPECT_EQ(stats.min_stable_forest, ref.min_stable_forest);
+    EXPECT_EQ(stats.tinterval_first_bad_window,
+              ref.tinterval_first_bad_window);
+  }
 }
 
 }  // namespace

@@ -80,21 +80,25 @@ TEST(FlightRecorder, JsonlCarriesManifestMetaAndEvents) {
   EXPECT_NE(out.find("\"a\":7"), std::string::npos);
 }
 
-TEST(FlightRecorder, JsonlEmitsCertifiedTOnlyWhenSet) {
-  // kCheckerWindow carries certified-T in `c`; events that never set it
-  // must not grow a noise field.
+TEST(FlightRecorder, JsonlEmitsCOnEveryEvent) {
+  // kCheckerWindow carries certified-T in `c`, and a certified-T of 0 is a
+  // reading, not an absence: every line carries `c`, zero included.
   FlightRecorder rec;
   Event window = At(10, 5);
   window.kind = EventKind::kCheckerWindow;
   window.c = 2;
   rec.Emit(window);
-  rec.Emit(At(20, 1));  // c left at 0
+  Event fallen = At(20, 6);
+  fallen.kind = EventKind::kCheckerWindow;  // c left at 0
+  rec.Emit(fallen);
   std::ostringstream os;
   rec.WriteJsonl(os, nullptr);
   const std::string out = os.str();
   EXPECT_NE(out.find("\"kind\":\"checker_window\""), std::string::npos);
-  EXPECT_NE(out.find("\"c\":2"), std::string::npos);
-  EXPECT_EQ(out.find("\"c\":0"), std::string::npos);
+  EXPECT_NE(out.find("\"t_ns\":10,\"a\":5,\"b\":0,\"c\":2}"),
+            std::string::npos);
+  EXPECT_NE(out.find("\"t_ns\":20,\"a\":6,\"b\":0,\"c\":0}"),
+            std::string::npos);
 }
 
 TEST(FlightRecorder, ChromeTraceHasTracksSpansAndManifest) {

@@ -13,6 +13,8 @@
 #include <tuple>
 #include <vector>
 
+#include "util/check.hpp"
+
 namespace sdn::util {
 namespace {
 
@@ -132,90 +134,73 @@ TEST(ThreadPool, SharedPoolIsASingletonWithAtLeastTwoLanes) {
   EXPECT_GE(ThreadPool::Shared().lanes(), 2);
 }
 
-TEST(AuxLane, RunsSubmittedTasksInOrder) {
-  AuxLane lane(/*capacity=*/2);
+TEST(AuxLane, DrainOrdersEachTaskBeforeTheNextSubmit) {
+  // One task at a time: Drain is the handoff, so the plain (non-atomic)
+  // vector the lane writes is safe to read and extend here after it.
+  AuxLane lane;
   std::vector<int> order;
-  std::mutex mu;
   for (int i = 0; i < 8; ++i) {
-    lane.Submit(UniqueTask([&order, &mu, i] {
-      const std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
-    }));
-  }
-  lane.Drain();
-  EXPECT_TRUE(lane.idle());
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(AuxLane, ThrowAfterBackpressureStillSurfacesOnDrain) {
-  // Fill the lane past its capacity so Submit engages backpressure (the
-  // producer blocks on the bounded queue) while an early task is armed to
-  // throw — the failure path and the backpressure path must compose.
-  AuxLane lane(/*capacity=*/1);
-  std::atomic<int> ran{0};
-  lane.Submit(UniqueTask([&ran] {
-    // Give the producer time to reach the blocking Submit below.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    ++ran;
-    throw std::runtime_error("armed");
-  }));
-  // Each of these blocks until the lane frees a slot; the tasks behind the
-  // throwing one are discarded, never run.
-  lane.Submit(UniqueTask([&ran] { ++ran; }));
-  lane.Submit(UniqueTask([&ran] { ++ran; }));
-  EXPECT_THROW(lane.Drain(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_TRUE(lane.idle());
-}
-
-TEST(AuxLane, DrainRethrowsFirstExceptionOnceAndLaneSurvives) {
-  AuxLane lane(/*capacity=*/4);
-  lane.Submit(UniqueTask([] { throw std::runtime_error("first"); }));
-  lane.Submit(UniqueTask([] { throw std::logic_error("second"); }));
-  bool threw_first = false;
-  try {
+    lane.Submit([&order, i] { order.push_back(i); });
     lane.Drain();
-  } catch (const std::runtime_error& e) {
-    threw_first = std::string(e.what()) == "first";
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(i) + 1);
+    EXPECT_EQ(order.back(), i);
   }
-  EXPECT_TRUE(threw_first);
-  // The error was consumed by the first Drain; the lane is reusable.
+}
+
+TEST(AuxLane, SubmitBeforeDrainIsRejected) {
+  // A lane holds at most one task; a second Submit without the Drain
+  // between is a caller bug, not a queue.
+  AuxLane lane;
+  std::atomic<bool> release{false};
+  lane.Submit([&release] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  EXPECT_THROW(lane.Submit([] {}), CheckError);
+  release = true;
   EXPECT_NO_THROW(lane.Drain());
-  std::atomic<bool> ran{false};
-  lane.Submit(UniqueTask([&ran] { ran = true; }));
-  lane.Drain();
-  EXPECT_TRUE(ran.load());
+}
+
+TEST(AuxLane, FailedLaneStaysPoisoned) {
+  // Drain rethrows the first task exception on every call, and a Submit
+  // after the failure runs nothing: no caller goes on past a failed task.
+  AuxLane lane;
+  lane.Submit([] { throw std::runtime_error("first"); });
+  for (int call = 0; call < 2; ++call) {
+    SCOPED_TRACE("drain " + std::to_string(call));
+    try {
+      lane.Drain();
+      ADD_FAILURE() << "Drain did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "first");
+    }
+  }
+  bool ran = false;
+  lane.Submit([&ran] { ran = true; });
+  EXPECT_THROW(lane.Drain(), std::runtime_error);
+  EXPECT_FALSE(ran);
 }
 
 TEST(AuxLane, DestructorWithNeverStartedLaneIsSafe) {
   // The worker thread starts lazily on the first Submit: a lane that never
   // saw one must destruct without joining a non-existent thread.
   AuxLane lane;
-  EXPECT_TRUE(lane.idle());
-  EXPECT_NO_THROW(lane.Drain());  // nothing queued, nothing to rethrow
+  EXPECT_NO_THROW(lane.Drain());  // nothing submitted, nothing to rethrow
 }
 
-TEST(AuxLane, DestructorDiscardsQueuedTasksAfterRunningOneFinishes) {
+TEST(AuxLane, DestructorJoinsTheRunningTask) {
   std::atomic<int> ran{0};
   std::atomic<bool> started{false};
   {
-    AuxLane lane(/*capacity=*/8);
-    lane.Submit(UniqueTask([&ran, &started] {
+    AuxLane lane;
+    lane.Submit([&ran, &started] {
       started = true;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       ++ran;
-    }));
-    // Queued behind a sleeper; the destructor stops the lane without
-    // running them (Drain is the contract for callers who need results).
-    lane.Submit(UniqueTask([&ran] { ran += 100; }));
-    lane.Submit(UniqueTask([&ran] { ran += 100; }));
+    });
     while (!started.load()) std::this_thread::yield();
-    // Destructor runs while task 1 executes: it must finish; the queued
-    // tasks may be discarded.
+    // The destructor runs while the task executes: it must finish first.
   }
-  EXPECT_GE(ran.load(), 1);   // the executing task always finishes
-  EXPECT_LE(ran.load(), 201); // discarded tasks never resurrect later
+  EXPECT_EQ(ran.load(), 1);
 }
 
 }  // namespace

@@ -434,9 +434,9 @@ TEST(TIntervalChecker, SpineCacheKeepsALiveIdAndPinsAtMost2TSpines) {
       const auto support =
           std::make_shared<const std::vector<Edge>>(std::vector<Edge>{chord});
       supports.push_back(support);
-      std::vector<Edge> round = *core;
-      round.push_back(chord);
-      std::sort(round.begin(), round.end());
+      std::vector<Edge> edges = *core;
+      edges.push_back(chord);
+      const Graph round(6, std::move(edges));
       RoundComposition comp;
       comp.core = *core;
       comp.core_id = 0;
