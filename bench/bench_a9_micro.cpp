@@ -162,22 +162,17 @@ BENCHMARK(BM_TIntervalValidation)->Arg(256)->Arg(2048);
 /// The fixed reference workload: one full hjswy run, N=1024, spine-gnp, T=2,
 /// probes off; T-interval validation ON by default (the recorded figures
 /// are certified runs — the certification A/B below measures what that
-/// costs). `threads` is EngineOptions::threads (1 = serial reference;
-/// results are bit-identical at every setting), `incremental` toggles the
-/// delta-driven topology path and `delivery` the Inbox backing policy
-/// (both A/B'd below — results are bit-identical there too). `overlaps`
-/// drives all three pipelining toggles (prefetch_topology,
-/// async_certification, fused_send_deliver) as one switch for the pipeline
-/// A/B; results are bit-identical either way (the determinism suite pins
-/// it). `collect_metrics`/`anomaly` drive the observability plane for the
-/// anomaly A/B (both arms carry the registry; only the anomaly engine
-/// differs) — bit-identical again, same pin.
+/// costs). `threads` is EngineOptions::threads: 1 is the serial engine, 2
+/// or more the pooled one with every overlap whose precondition holds
+/// (results are bit-identical at every setting). `delivery` is the Inbox
+/// backing policy (A/B'd below — bit-identical too). `collect_metrics`/
+/// `anomaly` drive the observability plane for the anomaly A/B (both arms
+/// carry the registry; only the anomaly engine differs) — bit-identical
+/// again, same pin.
 net::RunStats TimedReferenceRun(
-    int threads, bool incremental = true,
-    net::DeliveryMode delivery = net::DeliveryMode::kDense,
+    int threads, net::DeliveryMode delivery = net::DeliveryMode::kDense,
     obs::FlightRecorder* recorder = nullptr, bool validate = true,
-    bool overlaps = true, bool collect_metrics = false,
-    bool anomaly = false) {
+    bool collect_metrics = false, bool anomaly = false) {
   const graph::NodeId n = 1024;
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
@@ -201,12 +196,8 @@ net::RunStats TimedReferenceRun(
   opts.validate_tinterval = validate;
   opts.flood_probes = 0;
   opts.threads = threads;
-  opts.incremental_topology = incremental;
   opts.delivery = delivery;
   opts.recorder = recorder;
-  opts.prefetch_topology = overlaps;
-  opts.async_certification = overlaps;
-  opts.fused_send_deliver = overlaps;
   opts.collect_metrics = collect_metrics;
   opts.anomaly = anomaly;
   net::Engine<algo::HjswyProgram> engine(std::move(nodes), *adv, opts);
@@ -221,12 +212,12 @@ struct RepSet {
   double median_rps = 0.0;
 };
 
-RepSet MeasuredRuns(int threads, bool incremental = true, int reps = 3) {
+RepSet MeasuredRuns(int threads, int reps = 3) {
   RepSet out;
   double best_rps = -1.0;
   std::vector<double> rps_all;
   for (int rep = 0; rep < reps; ++rep) {
-    const net::RunStats stats = TimedReferenceRun(threads, incremental);
+    const net::RunStats stats = TimedReferenceRun(threads);
     const double rps = stats.timings.RoundsPerSec(stats.rounds);
     rps_all.push_back(rps);
     if (rps > best_rps) {
@@ -243,8 +234,8 @@ RepSet MeasuredRuns(int threads, bool incremental = true, int reps = 3) {
 }
 
 /// Best-of-`reps` by rounds/sec at a fixed thread count.
-net::RunStats BestRun(int threads, bool incremental = true, int reps = 3) {
-  return MeasuredRuns(threads, incremental, reps).best;
+net::RunStats BestRun(int threads, int reps = 3) {
+  return MeasuredRuns(threads, reps).best;
 }
 
 using StatFn = std::function<std::int64_t(const net::RunStats&)>;
@@ -340,26 +331,9 @@ void ReportEngineTimings() {
               best.timings.OneLine(best.rounds, best.edges_processed).c_str());
   std::printf("  median=%.1f rounds/s\n", reference.median_rps);
 
-  const StatFn topology_ns = [](const net::RunStats& s) {
-    return s.timings.topology_ns;
-  };
   const StatFn message_path_ns = [](const net::RunStats& s) {
     return std::max<std::int64_t>(1, s.timings.send_ns + s.timings.deliver_ns);
   };
-
-  // Topology A/B: the identical serial workload on the legacy from-scratch
-  // path vs the incremental path (every other phase untouched, so
-  // topology_ns is the whole difference; RunStats agree bit for bit).
-  // Interleaved pairs, compared by medians — see PairedAB.
-  const ABResult topo = PairedAB(
-      [] { return TimedReferenceRun(/*threads=*/1, /*incremental=*/false); },
-      [] { return TimedReferenceRun(/*threads=*/1, /*incremental=*/true); },
-      topology_ns);
-  std::printf(
-      "topology A/B (serial, paired medians): scratch=%lld ns  "
-      "incremental=%lld ns  speedup=%.2fx\n",
-      static_cast<long long>(topo.a.timings.topology_ns),
-      static_cast<long long>(topo.b.timings.topology_ns), topo.speedup);
 
   // Message-path A/B: the identical serial workload forced onto the legacy
   // per-receiver pointer gather vs the dense backing the engine ships with
@@ -367,12 +341,10 @@ void ReportEngineTimings() {
   // Interleaved pairs, compared by medians.
   const ABResult msg = PairedAB(
       [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kGather);
+        return TimedReferenceRun(/*threads=*/1, net::DeliveryMode::kGather);
       },
       [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kDense);
+        return TimedReferenceRun(/*threads=*/1, net::DeliveryMode::kDense);
       },
       message_path_ns);
   const double message_path_speedup = msg.speedup;
@@ -398,8 +370,7 @@ void ReportEngineTimings() {
   for (int rep = 0; rep < 3; ++rep) {
     auto rec = std::make_unique<obs::FlightRecorder>();
     const net::RunStats s =
-        TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                          net::DeliveryMode::kDense, rec.get());
+        TimedReferenceRun(/*threads=*/1, net::DeliveryMode::kDense, rec.get());
     if (traced_rec == nullptr || message_path_ns(s) < message_path_ns(traced)) {
       traced = s;
       traced_rec = std::move(rec);
@@ -415,8 +386,8 @@ void ReportEngineTimings() {
       static_cast<long long>(traced_sd_ns), trace_overhead_ratio);
 
   // Certification A/B: the identical serial workload with the streaming
-  // T-interval checker off vs on (everything else fixed: incremental,
-  // dense delivery, no recorder). The validated arm rides the
+  // T-interval checker off vs on (everything else fixed: dense delivery,
+  // no recorder). The validated arm rides the
   // adversary's composition claim — spine witnesses certify windows, no
   // per-round delta — so the whole-run overhead is the honest price of
   // always-on certification. Interleaved pairs, compared by medians of
@@ -427,14 +398,12 @@ void ReportEngineTimings() {
   };
   const ABResult cert = PairedAB(
       [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kDense, nullptr,
-                                 /*validate=*/false);
+        return TimedReferenceRun(/*threads=*/1, net::DeliveryMode::kDense,
+                                 nullptr, /*validate=*/false);
       },
       [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kDense, nullptr,
-                                 /*validate=*/true);
+        return TimedReferenceRun(/*threads=*/1, net::DeliveryMode::kDense,
+                                 nullptr, /*validate=*/true);
       },
       run_total_ns);
   const std::int64_t unvalidated_total_ns = run_total_ns(cert.a);
@@ -480,8 +449,13 @@ void ReportEngineTimings() {
   }
 
   // Threads sweep: same workload at growing EngineOptions::threads. The
-  // serial row is re-measured (not reused) so every row saw the same
-  // machine state; speedups are vs this process's own serial row. Counts
+  // threads=1 row is the serial engine and every other row the pooled one
+  // with all three overlaps engaged, so the threads=2 speedup is the whole
+  // pipelined engine against the serial one; each row records how much
+  // topology and certification work its auxiliary lane ran (zero on the
+  // serial row). The serial row is re-measured (not reused) so every row
+  // saw the same machine state; speedups are vs this process's own serial
+  // row. Counts
   // above the machine's concurrency are skipped (they would only measure
   // oversubscription noise) — except 2, kept as the minimal parallel
   // datapoint — and recorded as skipped in BENCH_engine.json. A measured
@@ -509,7 +483,7 @@ void ReportEngineTimings() {
     const net::RunStats& serial = sweep.front().stats;
     std::printf(
         "  threads=%d  %.1f rounds/s  speedup=%.2fx  send=%.2fx  "
-        "deliver=%.2fx%s\n",
+        "deliver=%.2fx  lane topology=%lld ns  lane certification=%lld ns%s\n",
         threads, s.timings.RoundsPerSec(s.rounds),
         s.timings.RoundsPerSec(s.rounds) /
             serial.timings.RoundsPerSec(serial.rounds),
@@ -518,6 +492,8 @@ void ReportEngineTimings() {
         static_cast<double>(serial.timings.deliver_ns) /
             static_cast<double>(
                 std::max<std::int64_t>(1, s.timings.deliver_ns)),
+        static_cast<long long>(s.timings.aux_topology_ns),
+        static_cast<long long>(s.timings.aux_validate_ns),
         sweep.back().oversubscribed ? "  (oversubscribed)" : "");
   }
   if (std::any_of(sweep.begin(), sweep.end(),
@@ -529,47 +505,6 @@ void ReportEngineTimings() {
         hw);
   }
 
-  // Pipeline A/B: the same workload at threads=2 with every overlap off vs
-  // all three on (prefetch_topology + async_certification +
-  // fused_send_deliver). threads=2 is the minimal count where prefetch and
-  // the async checker can engage; fusion is thread-independent, so the off
-  // arm is the barriered phase engine and the on arm is the full pipeline.
-  // Interleaved pairs, medians of total_ns — same discipline as the other
-  // A/Bs. The aux_*_ns fields of the on arm report how much topology /
-  // certification work ran concurrently with deliver (overlap won, not
-  // just moved). On a box with hardware_concurrency < 2 the figure is
-  // marked oversubscribed and must not be read as a pipelining speedup —
-  // the multi-core CI job is where the gate lives.
-  const int pipeline_threads = 2;
-  const bool pipeline_oversubscribed = pipeline_threads > hw;
-  const ABResult pipe = PairedAB(
-      [] {
-        return TimedReferenceRun(/*threads=*/2, /*incremental=*/true,
-                                 net::DeliveryMode::kDense, nullptr,
-                                 /*validate=*/true, /*overlaps=*/false);
-      },
-      [] {
-        return TimedReferenceRun(/*threads=*/2, /*incremental=*/true,
-                                 net::DeliveryMode::kDense, nullptr,
-                                 /*validate=*/true, /*overlaps=*/true);
-      },
-      run_total_ns);
-  const std::int64_t pipeline_off_total_ns = run_total_ns(pipe.a);
-  const std::int64_t pipeline_on_total_ns = run_total_ns(pipe.b);
-  const double pipeline_speedup = pipe.speedup;
-  const std::int64_t pipeline_aux_topology_ns = pipe.b.timings.aux_topology_ns;
-  const std::int64_t pipeline_aux_validate_ns = pipe.b.timings.aux_validate_ns;
-  std::printf(
-      "pipeline A/B (threads=2, paired medians): barriers total=%lld ns  "
-      "pipelined total=%lld ns  speedup=%.3fx  overlapped topology=%lld ns  "
-      "overlapped certification=%lld ns%s\n",
-      static_cast<long long>(pipeline_off_total_ns),
-      static_cast<long long>(pipeline_on_total_ns), pipeline_speedup,
-      static_cast<long long>(pipeline_aux_topology_ns),
-      static_cast<long long>(pipeline_aux_validate_ns),
-      pipeline_oversubscribed ? "  (oversubscribed — not a scaling figure)"
-                              : "");
-
   // Anomaly-plane A/B: the identical serial workload with metrics
   // collection on in both arms, anomaly engine off vs on (per-round signal
   // sampling and rule evaluation; no recorder so the dump path stays
@@ -579,18 +514,14 @@ void ReportEngineTimings() {
   // as trace_overhead_ratio.
   const ABResult anom = PairedAB(
       [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kDense, nullptr,
-                                 /*validate=*/true, /*overlaps=*/true,
-                                 /*collect_metrics=*/true,
-                                 /*anomaly=*/false);
+        return TimedReferenceRun(/*threads=*/1, net::DeliveryMode::kDense,
+                                 nullptr, /*validate=*/true,
+                                 /*collect_metrics=*/true, /*anomaly=*/false);
       },
       [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kDense, nullptr,
-                                 /*validate=*/true, /*overlaps=*/true,
-                                 /*collect_metrics=*/true,
-                                 /*anomaly=*/true);
+        return TimedReferenceRun(/*threads=*/1, net::DeliveryMode::kDense,
+                                 nullptr, /*validate=*/true,
+                                 /*collect_metrics=*/true, /*anomaly=*/true);
       },
       run_total_ns);
   const std::int64_t anomaly_off_total_ns = run_total_ns(anom.a);
@@ -642,9 +573,6 @@ void ReportEngineTimings() {
                "  \"timings_ns\": {\"topology\": %lld, \"validate\": %lld, "
                "\"probe\": %lld, \"send\": %lld, \"deliver\": %lld, "
                "\"other\": %lld, \"total\": %lld},\n"
-               "  \"topology_scratch_ns\": %lld,\n"
-               "  \"topology_incremental_ns\": %lld,\n"
-               "  \"topology_speedup\": %.2f,\n"
                "  \"send_gather_ns\": %lld,\n"
                "  \"send_dense_ns\": %lld,\n"
                "  \"deliver_gather_ns\": %lld,\n"
@@ -659,13 +587,6 @@ void ReportEngineTimings() {
                "  \"validated_total_ns\": %lld,\n"
                "  \"checker_ab_ratio\": %.3f,\n"
                "  \"checker_overhead_ratio\": %.3f,\n"
-               "  \"pipeline_threads\": %d,\n"
-               "  \"pipeline_oversubscribed\": %s,\n"
-               "  \"pipeline_all_off_total_ns\": %lld,\n"
-               "  \"pipeline_all_on_total_ns\": %lld,\n"
-               "  \"pipeline_speedup\": %.3f,\n"
-               "  \"pipeline_aux_topology_ns\": %lld,\n"
-               "  \"pipeline_aux_validate_ns\": %lld,\n"
                "  \"anomaly_off_total_ns\": %lld,\n"
                "  \"anomaly_on_total_ns\": %lld,\n"
                "  \"anomaly_overhead_ratio\": %.3f,\n"
@@ -681,9 +602,6 @@ void ReportEngineTimings() {
                static_cast<long long>(best.timings.deliver_ns),
                static_cast<long long>(best.timings.other_ns),
                static_cast<long long>(best.timings.total_ns),
-               static_cast<long long>(topo.a.timings.topology_ns),
-               static_cast<long long>(topo.b.timings.topology_ns),
-               topo.speedup,
                static_cast<long long>(msg.a.timings.send_ns),
                static_cast<long long>(msg.b.timings.send_ns),
                static_cast<long long>(msg.a.timings.deliver_ns),
@@ -695,12 +613,7 @@ void ReportEngineTimings() {
                static_cast<long long>(cert.b.min_stable_forest),
                static_cast<long long>(unvalidated_total_ns),
                static_cast<long long>(validated_total_ns),
-               checker_ab_ratio, checker_overhead_ratio, pipeline_threads,
-               pipeline_oversubscribed ? "true" : "false",
-               static_cast<long long>(pipeline_off_total_ns),
-               static_cast<long long>(pipeline_on_total_ns), pipeline_speedup,
-               static_cast<long long>(pipeline_aux_topology_ns),
-               static_cast<long long>(pipeline_aux_validate_ns),
+               checker_ab_ratio, checker_overhead_ratio,
                static_cast<long long>(anomaly_off_total_ns),
                static_cast<long long>(anomaly_on_total_ns),
                anomaly_overhead_ratio);
@@ -718,6 +631,7 @@ void ReportEngineTimings() {
         "    {\"threads\": %d, \"rounds_per_sec\": %.1f, "
         "\"speedup_vs_single_thread\": %.2f, \"send_speedup\": %.2f, "
         "\"deliver_speedup\": %.2f, \"oversubscribed\": %s,\n"
+        "     \"aux_topology_ns\": %lld, \"aux_validate_ns\": %lld,\n"
         "     \"timings_ns\": {\"topology\": %lld, \"send\": %lld, "
         "\"deliver\": %lld, \"total\": %lld}}%s\n",
         sweep[i].threads, rps, rps / serial_rps,
@@ -727,6 +641,8 @@ void ReportEngineTimings() {
             static_cast<double>(
                 std::max<std::int64_t>(1, s.timings.deliver_ns)),
         sweep[i].oversubscribed ? "true" : "false",
+        static_cast<long long>(s.timings.aux_topology_ns),
+        static_cast<long long>(s.timings.aux_validate_ns),
         static_cast<long long>(s.timings.topology_ns),
         static_cast<long long>(s.timings.send_ns),
         static_cast<long long>(s.timings.deliver_ns),

@@ -12,6 +12,7 @@
 #include "algo/hjswy.hpp"
 #include "algo/sketch_pool.hpp"
 #include "bench_common.hpp"
+#include "f3_cliques.hpp"
 #include "graph/generators.hpp"
 #include "net/engine.hpp"
 #include "util/flags.hpp"
@@ -19,46 +20,6 @@
 
 namespace sdn::bench {
 namespace {
-
-struct Point {
-  double d = 0.0;
-  double rounds = 0.0;
-  bool truncated = false;
-};
-
-Point MeasureCliques(graph::NodeId cliques, graph::NodeId clique_size, int T,
-                     int trials, int threads,
-                     obs::FlightRecorder* recorder = nullptr) {
-  const graph::NodeId n = cliques * clique_size;
-  std::vector<double> rounds;
-  double d = 0.0;
-  bool truncated = false;
-  for (int trial = 1; trial <= trials; ++trial) {
-    adversary::StaticAdversary adv(graph::PathOfCliques(cliques, clique_size),
-                                   T);
-    algo::HjswyOptions options;
-    options.T = T;
-    options.exact_census = true;
-    util::Rng base(static_cast<std::uint64_t>(trial) * 977);
-    algo::SketchPool pool(static_cast<std::size_t>(n),
-                          algo::HjswyProgram::RequiredPoolColumns(options));
-    std::vector<algo::HjswyProgram> nodes;
-    for (graph::NodeId u = 0; u < n; ++u) {
-      nodes.emplace_back(u, static_cast<algo::Value>(u), options,
-                         base.Fork(static_cast<std::uint64_t>(u)), &pool);
-    }
-    net::EngineOptions opts;
-    opts.validate_tinterval = true;  // certification is the shipped config
-    opts.threads = threads;
-    if (trial == 1) opts.recorder = recorder;  // single-consumer sink
-    net::Engine<algo::HjswyProgram> engine(std::move(nodes), adv, opts);
-    const net::RunStats stats = engine.Run();
-    rounds.push_back(static_cast<double>(stats.rounds));
-    truncated = truncated || stats.hit_max_rounds;
-    d = static_cast<double>(stats.flooding.max_rounds);
-  }
-  return {d, util::Summarize(rounds).median, truncated};
-}
 
 int Main(int argc, char** argv) {
   util::Flags flags(argc, argv);
@@ -93,13 +54,14 @@ int Main(int argc, char** argv) {
   for (const std::int64_t cliques : clique_counts) {
     std::vector<std::string> row = {std::to_string(cliques)};
     for (std::size_t i = 0; i < clique_sizes.size(); ++i) {
-      const Point p =
+      const CliquesPoint p =
           MeasureCliques(static_cast<graph::NodeId>(cliques),
                          static_cast<graph::NodeId>(clique_sizes[i]), T,
                          trials, threads, tracer.Attach());
       row.push_back(util::Table::Num(p.d, 0));
       row.push_back(p.truncated ? "(truncated)"
-                                : util::Table::Num(p.rounds, 0));
+                                : util::Table::Num(p.rounds, 0) +
+                                      (p.failures > 0 ? "!" : ""));
       ds[i].push_back(p.d);
       rounds[i].push_back(p.truncated ? 0.0 : p.rounds);
     }

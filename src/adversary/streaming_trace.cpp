@@ -23,8 +23,8 @@ int StreamingTraceAdversary::interval() const { return reader_.interval(); }
 graph::Graph StreamingTraceAdversary::TopologyFor(std::int64_t,
                                                   const net::AdversaryView&) {
   SDN_CHECK_MSG(false,
-                "StreamingTraceAdversary is delta-native: run with "
-                "incremental_topology (TopologyFor would materialize)");
+                "StreamingTraceAdversary is delta-native: TopologyFor would "
+                "materialize the round; drive it through DeltaFor");
   return graph::Graph(reader_.num_nodes());  // unreachable
 }
 

@@ -7,8 +7,8 @@
 // engine's DeltaFor calls straight from the file, so the only live graph
 // state anywhere in the run is the engine's single DynGraph plus one reused
 // record buffer. It is delta-native by construction: TopologyFor (the
-// materializing path) is a contract violation and throws — run it with
-// EngineOptions::incremental_topology (the default).
+// materializing path) is a contract violation and throws; the engine only
+// ever calls DeltaFor.
 //
 // Rounds past the end of the recording repeat the final topology (empty
 // deltas), matching ReplayAdversary, so algorithms can always terminate.

@@ -75,6 +75,32 @@ bool RunResult::Ok() const {
   return true;
 }
 
+net::EngineOptions EngineOptionsFor(const RunConfig& config,
+                                    const algo::AlgoInfo& info) {
+  net::EngineOptions opts;
+  opts.max_rounds = config.max_rounds;
+  opts.bandwidth =
+      info.unbounded_msgs
+          ? net::BandwidthPolicy::Unbounded()
+          : net::BandwidthPolicy::BoundedLogN(config.bandwidth_multiplier);
+  opts.flood_probes = config.flood_probes;
+  opts.probe_seed = util::MixSeed(config.seed, 0x9e0be5ULL);
+  opts.validate_tinterval = config.validate_tinterval;
+  opts.fail_fast_on_tinterval = config.fail_fast_on_tinterval;
+  opts.delivery = config.delivery;
+  opts.threads = config.threads;
+  opts.incremental_topology = config.incremental_topology;
+  opts.prefetch_topology = config.prefetch_topology;
+  opts.async_certification = config.async_certification;
+  opts.fused_send_deliver = config.fused_send_deliver;
+  opts.recorder = config.recorder;
+  opts.collect_metrics = config.collect_metrics;
+  opts.anomaly = config.anomaly;
+  opts.anomaly_options = config.anomaly_options;
+  opts.memory_budget = config.memory_budget;
+  return opts;
+}
+
 namespace {
 
 /// Per-node graded outputs, extracted uniformly from every program type.
@@ -177,28 +203,8 @@ class TypedSim final : public detail::SimBase {
       nodes.push_back(make_node(u, inputs_[static_cast<std::size_t>(u)]));
     }
 
-    net::EngineOptions opts;
-    opts.max_rounds = config_.max_rounds;
-    opts.bandwidth =
-        info_.unbounded_msgs
-            ? net::BandwidthPolicy::Unbounded()
-            : net::BandwidthPolicy::BoundedLogN(config_.bandwidth_multiplier);
-    opts.flood_probes = config_.flood_probes;
-    opts.probe_seed = util::MixSeed(config_.seed, 0x9e0be5ULL);
-    opts.validate_tinterval = config_.validate_tinterval;
-    opts.fail_fast_on_tinterval = config_.fail_fast_on_tinterval;
-    opts.incremental_topology = config_.incremental_topology;
-    opts.delivery = config_.delivery;
-    opts.threads = config_.threads;
-    opts.prefetch_topology = config_.prefetch_topology;
-    opts.async_certification = config_.async_certification;
-    opts.fused_send_deliver = config_.fused_send_deliver;
-    opts.recorder = config_.recorder;
-    opts.collect_metrics = config_.collect_metrics;
-    opts.anomaly = config_.anomaly;
-    opts.anomaly_options = config_.anomaly_options;
-    opts.memory_budget = config_.memory_budget;
-    engine_.emplace(std::move(nodes), *adversary_, opts);
+    engine_.emplace(std::move(nodes), *adversary_,
+                    EngineOptionsFor(config_, info_));
   }
 
   bool Step() override { return engine_->Step(); }

@@ -23,6 +23,10 @@
 #include "obs/recorder.hpp"
 #include "util/arena.hpp"
 
+namespace sdn::net {
+struct EngineOptions;
+}  // namespace sdn::net
+
 namespace sdn {
 
 /// The algorithm zoo (DESIGN.md §4).
@@ -74,31 +78,26 @@ struct RunConfig {
   /// CheckError with the violating window, same shape as a bandwidth
   /// violation.
   bool fail_fast_on_tinterval = false;
-  /// Delta-driven topology (EngineOptions::incremental_topology): the
-  /// adversary emits round-over-round deltas into one in-place DynGraph.
-  /// Bit-identical results either way; off = legacy from-scratch path.
+  /// Kept only while perfbench assigns it; false throws CheckError.
   bool incremental_topology = true;
   /// Inbox backing for all-sender rounds (net::DeliveryMode): kDense
   /// (default) indexes the outbox through the CSR neighbor span, kGather
-  /// forces the pointer gather for A/B runs. Bit-identical results in
-  /// both modes.
+  /// forces the pointer gather, the dense path's test reference.
+  /// Bit-identical results in both modes.
   net::DeliveryMode delivery = net::DeliveryMode::kDense;
-  /// Engine-internal parallelism (EngineOptions::threads): 0 = hardware,
-  /// 1 = strictly serial, k > 1 = the shared pool with the shards pre-split
-  /// into k lane blocks (not a thread cap: idle pool workers steal).
-  /// Results are bit-identical at any setting; RunTrials additionally
-  /// budgets this against its outer trial workers when left at 0 (auto),
-  /// so sweeps don't oversubscribe.
+  /// Engine threads (EngineOptions::threads): 0 = hardware, 1 = the serial
+  /// engine, k > 1 at n >= 128 = the pooled engine, which shards send,
+  /// deliver and the CSR fill and runs each pipelining overlap whose
+  /// precondition holds (docs/PERF.md "Pipelining"). Not a thread cap:
+  /// idle pool workers steal. Results are bit-identical at any setting;
+  /// RunTrials additionally budgets this against its outer trial workers
+  /// when left at 0 (auto), so sweeps don't oversubscribe.
   int threads = 0;
-  /// Pipeline overlaps (EngineOptions::{prefetch_topology,
-  /// async_certification, fused_send_deliver}): compute the next round's
-  /// topology / run the T-interval checker / compose the next round's
-  /// messages concurrently with the deliver phase. Each engages only where
-  /// its preconditions hold (oblivious adversary, threads > 1, ...) and
-  /// RunStats is bit-identical on or off — off is a pure A/B knob for the
-  /// pipelining benchmarks (docs/PERF.md "Pipelining").
+  /// Kept only while perfbench assigns it; false throws CheckError.
   bool prefetch_topology = true;
+  /// Kept only while perfbench assigns it; false throws CheckError.
   bool async_certification = true;
+  /// Kept only while perfbench assigns it; false throws CheckError.
   bool fused_send_deliver = true;
   /// Knobs for the hjswy suite (T / exact_census / strict are synced from
   /// the algorithm choice and the T above).
@@ -161,6 +160,13 @@ struct RunResult {
 
 /// Deterministic pseudo-random inputs for n nodes.
 std::vector<algo::Value> MakeInputs(graph::NodeId n, std::uint64_t seed);
+
+/// The one mapping from a RunConfig to the engine's options, for the
+/// algorithm `info` describes (its message regime picks the bandwidth
+/// policy). Every facade run goes through it. The result type is defined
+/// in net/engine.hpp.
+net::EngineOptions EngineOptionsFor(const RunConfig& config,
+                                    const algo::AlgoInfo& info);
 
 /// Executes one run. CheckError on invalid configuration.
 RunResult RunAlgorithm(Algorithm algorithm, const RunConfig& config);

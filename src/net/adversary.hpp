@@ -31,8 +31,8 @@ class AdversaryView {
   [[nodiscard]] virtual graph::NodeId num_nodes() const = 0;
 
   /// True when the engine runs the topology calls on its auxiliary lane,
-  /// overlapped with the round's probe, send and deliver phases
-  /// (EngineOptions::prefetch_topology engaged).
+  /// overlapped with the round's probe, send and deliver phases (a pooled
+  /// run against an oblivious adversary).
   /// An adversary may then run its own per-era work on a helper thread;
   /// under the default (false) it starts none.
   [[nodiscard]] virtual bool prefetches_topology() const { return false; }
@@ -59,11 +59,11 @@ class Adversary {
   /// exactly that, so every adversary supports the delta-driven engine
   /// unchanged. Adversaries whose rounds share structure (spines, static or
   /// replayed graphs) override this to emit the delta directly, skipping
-  /// the per-round Graph materialization entirely. Within one run the
-  /// engine uses either DeltaFor or TopologyFor exclusively, with strictly
-  /// sequential rounds 1, 2, 3, ... — overrides may rely on that (and must
-  /// consume the same RNG stream as TopologyFor so the two modes produce
-  /// bit-identical sequences).
+  /// the per-round Graph materialization entirely. The engine calls
+  /// DeltaFor with strictly sequential rounds 1, 2, 3, ... and never mixes
+  /// in TopologyFor — overrides may rely on that (and must consume the
+  /// same RNG stream as TopologyFor so the two produce bit-identical
+  /// sequences).
   virtual void DeltaFor(std::int64_t round, const AdversaryView& view,
                         const graph::Graph& prev, graph::TopologyDelta& out);
 

@@ -36,55 +36,47 @@
 // included, CloseRound hands the same durations to RunStats::timings, the
 // registry's round_<phase>_ns histograms and the recorder's phase spans.
 //
-// Topology is incremental by default (EngineOptions::incremental_topology):
-// one in-place DynGraph holds the live round instead of a fresh Graph per
-// round. The adversary writes each round's whole edge list straight into
-// the DynGraph's edit buffer (RoundEdgesInto) whenever it supports that,
-// and the engine derives the delta with one DiffSorted only when a
-// consumer (the delta-driven checker, a trace recorder) needs it. An
-// adversary without RoundEdgesInto emits the TopologyDelta itself
-// (DeltaFor) and the DynGraph applies it. The produced topology sequence,
-// and therefore RunStats, is bit-identical to the from-scratch path (the
-// DeltaFor contract in net/adversary.hpp), which stays available for A/B
-// testing.
+// Topology: one in-place DynGraph holds the live round. The adversary
+// writes each round's whole edge list straight into the DynGraph's edit
+// buffer (RoundEdgesInto) whenever it supports that, and the engine derives
+// the delta with one DiffSorted only when a consumer (the delta-driven
+// checker, a trace recorder) needs it. An adversary without RoundEdgesInto
+// emits the TopologyDelta itself (DeltaFor; the base class diffs
+// TopologyFor against the previous round) and the DynGraph applies it.
 //
-// Parallel execution (EngineOptions::threads): the send and deliver phases
-// are embarrassingly parallel over nodes — OnSend(u) touches only node u and
-// its outbox slot, OnReceive(u) reads the shared outbox (immutable during
-// the phase) and mutates only node u. Both phases run on the shared
-// work-stealing pool over contiguous node *shards* whose boundaries depend
-// only on n; each shard fills its own accumulator, and the accumulators are
-// merged in shard (= ascending node) order after the phase barrier. Every
-// merged quantity is either per-node (disjoint writes) or an
-// order-independent integer reduction, so results are bit-identical at any
-// thread count — docs/PERF.md spells out the argument.
+// EngineOptions::threads decides the rest. One resolved thread, or n below
+// twice the sharding floor, runs the serial engine: every phase in turn on
+// the calling thread, a barrier between phases. Otherwise the run is on the
+// pool. The send and deliver phases are embarrassingly parallel over nodes
+// — OnSend(u) touches only node u and its outbox slot, OnReceive(u) reads
+// the shared outbox (immutable during the phase) and mutates only node u —
+// so both run on the shared work-stealing pool over contiguous node
+// *shards* whose boundaries depend only on n; each shard fills its own
+// accumulator, merged in shard (= ascending node) order after the phase.
+// Every merged quantity is either per-node or an order-independent integer
+// reduction, so results are bit-identical at any thread count (docs/PERF.md
+// spells out the argument).
 //
-// Software pipelining (EngineOptions::{prefetch_topology,
-// async_certification, fused_send_deliver}, all individually toggleable,
-// all on by default; docs/PERF.md "Pipelining"): the deliver phase is the
-// round's long pole, and three independent overlaps hide the rest of the
-// round behind it. The first two share one persistent auxiliary lane
-// (util::AuxLane) that takes one task per round, submitted as the validate
-// window closes and joined at the top of the next Step() and by stats().
-// (1) Asynchronous certification — the task first streams round r through
-// the T-interval checker in place, against the live topology and the
-// adversary's composition claim or delta_, none of which change before the
-// join; fail-fast runs keep the synchronous checker so an abort lands at
-// the same round as the serial engine. (2) Topology prefetch — for
-// oblivious adversaries the task then computes round r+1's delta/edge list
-// while round r's probes, send and deliver run; calls stay sequential and
-// in round order, so the produced graph sequence is unchanged. The view's
-// prefetches_topology() reports this, and a spine adversary then prepares
-// each era one era ahead on a helper lane of its own, so the per-era spine
-// draw and union leave the round builds as well. (3) Fused send/deliver —
-// DirectSendProgram nodes compose round r+1's message immediately after
-// their round-r OnReceive, into the inactive half of a double-buffered
-// outbox; the buffers flip in round r+1's send window, after
-// validate/probes, so an abort discards the staged round and the books
-// match the serial engine's exactly. Every overlap preserves bit-identical
-// RunStats (test_determinism's overlap matrix pins it);
-// EngineTimings::aux_*_ns report the overlapped work for the
-// critical-path-vs-sum-of-phases efficiency ratio.
+// A pooled run also hides the rest of the round behind deliver, its long
+// pole, with three overlaps (docs/PERF.md "Pipelining"); each engages
+// exactly when its own precondition holds (EnsureStarted). The first two
+// share one persistent auxiliary lane (util::AuxLane) that takes one task
+// per round, submitted as the validate window closes and joined at the top
+// of the next Step() and by stats(). (1) Certification on the lane — the
+// task streams round r through the T-interval checker in place, against
+// the live topology and the adversary's composition claim or delta_, none
+// of which change before the join. (2) Topology prefetch — for oblivious
+// adversaries the task then computes round r+1's delta/edge list; calls
+// stay sequential and in round order, so the produced graph sequence is
+// unchanged. The view's prefetches_topology() reports this, and a spine
+// adversary then prepares each era one era ahead on a helper lane of its
+// own. (3) Fused send/deliver — DirectSendProgram nodes compose round r+1's
+// message right after their round-r OnReceive, into the inactive half of a
+// double-buffered outbox; the buffers flip in round r+1's send window,
+// after validate/probes, so an abort discards the staged round and the
+// books match the serial engine's exactly. test_determinism pins pooled
+// RunStats against the serial engine's; EngineTimings::aux_*_ns report the
+// overlapped work.
 #pragma once
 
 #include <algorithm>
@@ -136,56 +128,28 @@ struct EngineOptions {
   /// round 1 underestimates d on adversaries that degrade over time).
   int flood_probes = 4;
   std::uint64_t probe_seed = 0x5eedULL;
-  /// Engine-internal parallelism for the send/deliver phases and the
-  /// topology's CSR fill: 0 = hardware concurrency, 1 = strictly serial,
-  /// k > 1 = run them on the shared work-stealing pool, with the shards
-  /// pre-split into k lane blocks. k is not a thread cap: every idle pool
-  /// worker joins and steals (ThreadPool::ParallelFor), so any k > 1 can
-  /// use every pool thread. Results are bit-identical at any setting (only
-  /// RunStats::timings, which measure wall clock, differ), so this is a
-  /// pure throughput knob. Small n runs serial regardless (sharding floor).
+  /// Engine threads: 0 = hardware concurrency, 1 = the serial engine (every
+  /// phase on the calling thread, a barrier between phases, no overlap).
+  /// k > 1 with n >= 128 (two shards) puts the run on the shared
+  /// work-stealing pool: send, deliver and the topology's CSR fill run
+  /// sharded, with the shards pre-split into k lane blocks, and each of the
+  /// three overlaps (topology prefetch, certification on the auxiliary
+  /// lane, fused send/deliver) engages where its precondition holds. k is
+  /// not a thread cap: every idle pool worker joins and steals
+  /// (ThreadPool::ParallelFor). Results are bit-identical at any setting;
+  /// only RunStats::timings, which measure wall clock, differ.
   int threads = 0;
-  /// Drive the topology through the adversary's DeltaFor fast path into one
-  /// in-place DynGraph instead of building a Graph from scratch every round.
-  /// Results are bit-identical either way (the DeltaFor contract; tests pin
-  /// it) — off gives the legacy from-scratch path for A/B comparison.
-  bool incremental_topology = true;
   /// Inbox backing for all-sent rounds (see DeliveryMode). Results are
   /// bit-identical across modes (tests pin it) — only wall clock differs,
-  /// so kGather is a pure A/B knob.
+  /// so kGather is the dense path's test reference.
   DeliveryMode delivery = DeliveryMode::kDense;
-  /// Overlap the next round's topology construction with this round's
-  /// probe, send and deliver phases on the engine's auxiliary lane.
-  /// Engages only when the adversary is oblivious, threads > 1 and n
-  /// clears the sharding floor; the adversary still sees strictly
-  /// sequential in-order calls, so RunStats is bit-identical on or off —
-  /// off is a pure A/B knob for the pipeline benchmarks. The same rule is
-  /// what AdversaryView::prefetches_topology() reports: when it holds,
-  /// StableSpineAdversary prepares the next era (spine draw, spine union)
-  /// on its own helper lane; otherwise that prep runs inline in the era's
-  /// first round.
+  /// Kept only while perfbench assigns it; no branch reads it; false throws.
+  bool incremental_topology = true;
+  /// Kept only while perfbench assigns it; no branch reads it; false throws.
   bool prefetch_topology = true;
-  /// Run the streaming T-interval checker on the engine's auxiliary lane
-  /// instead of the round's critical path. The lane task certifies the
-  /// round in place, ahead of any prefetch; stats() is the deterministic
-  /// rendezvous — it joins the lane before reading any verdict, and a
-  /// checker error (e.g. a lying composition) surfaces there or from the
-  /// next Step() instead of mid-round. Engages only when threads > 1 in
-  /// incremental mode with no flight recorder (its per-round checker track
-  /// needs synchronous state) and without fail_fast_on_tinterval
-  /// (fail-fast keeps the synchronous checker so the abort round matches
-  /// the serial engine exactly). RunStats is bit-identical on or off.
+  /// Kept only while perfbench assigns it; no branch reads it; false throws.
   bool async_certification = true;
-  /// Fuse the send phase into the previous round's deliver pass:
-  /// DirectSendProgram nodes compose round r+1's message right after their
-  /// round-r OnReceive, into the inactive half of a double-buffered
-  /// outbox, killing the send-phase barrier and its outbox sweep. The
-  /// buffers flip in round r+1's send window — after validate and probes —
-  /// so staged work is discarded on abort and RunStats stays bit-identical
-  /// (the per-node call order is exactly the serial engine's; see the
-  /// speculative-call contract in net/program.hpp). Engages only for
-  /// DirectSendProgram algorithms under oblivious adversaries (adaptive
-  /// ones sample PublicState between deliver r and send r+1).
+  /// Kept only while perfbench assigns it; no branch reads it; false throws.
   bool fused_send_deliver = true;
   /// When set, every round's topology is streamed into this delta-encoded
   /// v2 trace writer (net/trace.hpp) — recording without retaining the
@@ -222,8 +186,9 @@ struct EngineOptions {
   /// one to aggregate engine charges with caller-side subsystems (sketch
   /// pool, trace stream) under a single budget. Must outlive the engine.
   /// Only size-deterministic subsystems are charged — backing-dependent
-  /// scratch (the per-shard gather buffers) is excluded so RunStats stays
-  /// bit-identical across thread counts and delivery backings.
+  /// scratch (the per-shard gather buffers) is excluded, so every gauge is
+  /// identical across thread counts and delivery backings except the
+  /// outbox, which a fusing (pooled) run doubles.
   util::MemoryBudget* memory_budget = nullptr;
 };
 
@@ -243,6 +208,15 @@ class Engine final : private AdversaryView {
     SDN_CHECK(adversary_.interval() >= 1);
     SDN_CHECK(options_.max_rounds >= 1);
     SDN_CHECK(options_.threads >= 0);
+    for (const auto& [on, field] :
+         {std::pair{options_.incremental_topology, "incremental_topology"},
+          std::pair{options_.prefetch_topology, "prefetch_topology"},
+          std::pair{options_.async_certification, "async_certification"},
+          std::pair{options_.fused_send_deliver, "fused_send_deliver"}}) {
+      SDN_CHECK_MSG(on, "EngineOptions::" << field
+                                          << " = false is not supported: the "
+                                             "engine runs one configuration");
+    }
   }
 
   Engine(const Engine&) = delete;
@@ -276,28 +250,19 @@ class Engine final : private AdversaryView {
     } else {
       ProduceTopology(++round_);
     }
-    if (incremental_) {
-      // The CSR fill runs on the send/deliver pool (every lane joins right
-      // after the prefetch join) and is byte-identical to the serial fill.
-      if (topo_assigned_) {
-        topo_.CommitEdges(pool_);
-        ++topo_direct_rounds_;
-      } else {
-        topo_.Apply(delta_, pool_);  // CheckError on a contract-violating delta
-        ++topo_delta_rounds_;
-      }
-      if (options_.record_trace != nullptr) {
-        options_.record_trace->Push(topo_.View(), delta_);
-      }
+    // The CSR fill runs on the send/deliver pool (every lane joins right
+    // after the prefetch join) and is byte-identical to the serial fill.
+    if (topo_assigned_) {
+      topo_.CommitEdges(pool_);
+      ++topo_direct_rounds_;
     } else {
-      SDN_CHECK_MSG(produced_graph_.num_nodes() == n_,
-                    "adversary produced wrong-size graph");
-      if (options_.record_trace != nullptr) {
-        options_.record_trace->Push(produced_graph_);
-      }
-      last_topology_ = std::move(produced_graph_);
+      topo_.Apply(delta_, pool_);  // CheckError on a contract-violating delta
+      ++topo_delta_rounds_;
     }
-    const graph::Graph& g = incremental_ ? topo_.View() : last_topology_;
+    const graph::Graph& g = topo_.View();
+    if (options_.record_trace != nullptr) {
+      options_.record_trace->Push(g, delta_);
+    }
     stats_.edges_processed += g.num_edges();
     // Live-topology footprint this round: edge list + CSR adjacency +
     // offsets, plus the reused delta buffer. O(E_round), a pure function
@@ -311,9 +276,8 @@ class Engine final : private AdversaryView {
     // The companion gauges: the DynGraph's maintenance scratch and the
     // adversary's generator buffers. Both are capacity-based pure
     // functions of the call stream (sampled here, after the lane joined),
-    // so RunStats::memory stays bit-identical across thread counts and
-    // overlap toggles.
-    if (incremental_) mem_topology_scratch_->SetCurrent(topo_.ScratchBytes());
+    // so RunStats::memory stays bit-identical across thread counts.
+    mem_topology_scratch_->SetCurrent(topo_.ScratchBytes());
     mem_adversary_->SetCurrent(adversary_.BufferBytes());
     clock.Stamp(kTopologyEnd);
 
@@ -383,7 +347,7 @@ class Engine final : private AdversaryView {
     // thread.
     //
     // Fused fast path: when the previous round's deliver pass already
-    // staged this round's messages (fused_send_deliver), the send phase
+    // staged this round's messages (fused_enabled_), the send phase
     // degenerates to a buffer flip — the staged half of the double buffer
     // becomes the live outbox, and the staged accumulators are folded into
     // the stats exactly as a freshly-run send phase's would be. The flip
@@ -611,11 +575,11 @@ class Engine final : private AdversaryView {
       if (anomaly_ != nullptr) {
         obs::RoundSignals sig;
         sig.round = round_;
-        // Under async certification the checker runs on the lane and
-        // reading it here would race; certified_T = -1 means "not sampled"
-        // and the cert-regression rule skips the round. Recorder-attached
-        // runs (the only ones that can dump) always have the synchronous
-        // checker, so dump-capable runs never lose the signal.
+        // When the lane certifies, the checker runs there and reading it
+        // here would race; certified_T = -1 means "not sampled" and the
+        // cert-regression rule skips the round. Recorder-attached runs (the
+        // only ones that can dump) always have the synchronous checker, so
+        // dump-capable runs never lose the signal.
         if (checker_.has_value() && !async_cert_) {
           sig.certified_T = checker_->certified_T();
           sig.first_bad_window = checker_->first_bad_window();
@@ -664,7 +628,7 @@ class Engine final : private AdversaryView {
       out.min_stable_forest = checker_->min_stable_forest();
       // The checker's footprint is a pure function of the rounds pushed —
       // sampled here, post-drain, so the gauge is identical across thread
-      // counts and the async toggle.
+      // counts.
       if (mem_checker_ != nullptr) {
         mem_checker_->SetCurrent(checker_->ApproxBytes());
       }
@@ -702,14 +666,14 @@ class Engine final : private AdversaryView {
   [[nodiscard]] std::int64_t current_round() const { return round_; }
   /// Topology of the most recently executed round (empty before round 1).
   [[nodiscard]] const graph::Graph& last_topology() const {
-    return incremental_ ? topo_.View() : last_topology_;
+    return topo_.View();
   }
 
   /// Per-path round counters (test/bench introspection). Each is a pure
   /// function of the options, the adversary and the send pattern: dense
   /// counts the all-sent rounds under DeliveryMode::kDense and gather the
-  /// rest; in incremental mode, direct counts the rounds RoundEdgesInto
-  /// accepted and delta the rest.
+  /// rest; direct counts the rounds RoundEdgesInto accepted and delta the
+  /// rest.
   [[nodiscard]] std::int64_t dense_delivery_rounds() const {
     return dense_rounds_;
   }
@@ -826,19 +790,13 @@ class Engine final : private AdversaryView {
   }
 
   /// Produces round r's topology for the topology section of Step, which
-  /// either calls it inline or joins the lane task that ran it.
-  /// From-scratch mode builds the whole graph with TopologyFor. Incremental
-  /// mode takes RoundEdgesInto whenever the adversary accepts it, running
-  /// DiffSorted only when a consumer needs the delta, and DeltaFor
-  /// otherwise; the first decline pins DeltaFor for the rest of the run.
-  /// Writes only state the probe, send and deliver phases do not read:
-  /// topo_'s edit buffer, delta_ and the members declared next to
-  /// produced_graph_.
+  /// either calls it inline or joins the lane task that ran it. Takes
+  /// RoundEdgesInto whenever the adversary accepts it, running DiffSorted
+  /// only when a consumer needs the delta, and DeltaFor otherwise; the
+  /// first decline pins DeltaFor for the rest of the run. Writes only state
+  /// the probe, send and deliver phases do not read: topo_'s edit buffer,
+  /// delta_ and the members declared next to topo_assigned_.
   void ProduceTopology(std::int64_t r) {
-    if (!incremental_) {
-      produced_graph_ = adversary_.TopologyFor(r, *this);
-      return;
-    }
     topo_assigned_ = topo_direct_supported_ &&
                      adversary_.RoundEdgesInto(r, *this, topo_.EditBuffer());
     if (topo_assigned_) {
@@ -853,20 +811,19 @@ class Engine final : private AdversaryView {
 
   /// Streams round_'s topology through the checker: by the adversary's
   /// composition claim (cross-checked inside the checker) when it offers
-  /// one, else by the delta the topology was built from, else (from
-  /// scratch) by diffing internally. Runs in the validate window or at the
-  /// head of the lane task. Returns the checker's verdict so far.
+  /// one, else by the delta the topology was built from. Runs in the
+  /// validate window or at the head of the lane task. Returns the checker's
+  /// verdict so far.
   bool Certify() {
-    const graph::Graph& g = last_topology();
     if (use_composition_) {
       const graph::RoundComposition* comp = adversary_.Composition(round_);
       SDN_CHECK_MSG(comp != nullptr,
                     "adversary advertises has_composition but returned no "
                     "composition for round "
                         << round_);
-      return checker_->PushComposition(*comp, g);
+      return checker_->PushComposition(*comp, topo_.View());
     }
-    return incremental_ ? checker_->PushDelta(delta_) : checker_->Push(g);
+    return checker_->PushDelta(delta_);
   }
 
   /// Runs fn(shard, begin, end) over all shards — on the pool when parallel,
@@ -1009,8 +966,7 @@ class Engine final : private AdversaryView {
     if (options_.validate_tinterval) {
       checker_.emplace(n_, adversary_.interval());
     }
-    incremental_ = options_.incremental_topology;
-    if (incremental_) topo_.Reset(n_);
+    topo_.Reset(n_);
     // Witness certification: a composition-exposing adversary lets the
     // checker certify windows by witness identity, so no delta needs to be
     // materialized for it at all — the topology hot path stays identical
@@ -1020,21 +976,46 @@ class Engine final : private AdversaryView {
     // path: a flight recorder's kCheckerWindow track then carries
     // stable_edge_count() = -1, and a trace recorder gets its deltas
     // through need_delta_.
-    use_composition_ = checker_.has_value() && incremental_ &&
-                       adversary_.has_composition();
+    use_composition_ = checker_.has_value() && adversary_.has_composition();
     // Deltas are materialized whenever something consumes them: the
     // delta-driven checker or a trace recorder. ProduceTopology derives
     // the delta with one DiffSorted when the adversary assigned the round
     // directly, so every consumer sees a delta every round.
     need_delta_ = (checker_.has_value() && !use_composition_) ||
                   options_.record_trace != nullptr;
-    // Fused send/deliver needs the in-place compose path (OnSendInto) and
-    // an adversary that never samples PublicState between deliver r and
-    // send r+1 — i.e. an oblivious one. Deliberately not thread-gated:
-    // staging runs inside whatever deliver schedule (serial or sharded)
-    // the run already uses.
-    fused_enabled_ = DirectSendProgram<A> && options_.fused_send_deliver &&
-                     adversary_.oblivious();
+
+    // Parallel geometry. Shard count is a function of n alone; the thread
+    // count only decides how many lanes execute those shards, and whether
+    // the run is on the pool at all (two lanes or more).
+    int threads = options_.threads;
+    if (threads == 0) {
+      threads = static_cast<int>(std::thread::hardware_concurrency());
+      if (threads <= 0) threads = 1;
+    }
+    shards_ = std::clamp<std::int64_t>(n_ / kMinShardNodes, 1, kMaxShards);
+    lanes_ = static_cast<int>(std::min<std::int64_t>(threads, shards_));
+    pool_ = lanes_ > 1 ? &util::ThreadPool::Shared() : nullptr;
+    // The overlap rule: each overlap engages exactly when the run is on the
+    // pool and its own precondition holds, so a serial run keeps the round
+    // loop on one thread with a barrier between phases.
+    // - Prefetch needs an oblivious adversary: the lane builds round r+1
+    //   while deliver mutates node state. It composes with the witness
+    //   path: Certify reads the claimed spans before the next build
+    //   invalidates them, in the validate window or at the head of the
+    //   same lane task.
+    // - Certification on the lane excludes exactly the configurations that
+    //   read checker state mid-round: fail-fast (the verdict gates the
+    //   round, so the abort lands at the serial engine's round) and a
+    //   flight recorder (its per-round kCheckerWindow track).
+    // - Fusion needs the in-place compose path (OnSendInto) and an
+    //   adversary that never samples PublicState between deliver r and
+    //   send r+1, i.e. an oblivious one.
+    const bool pooled = pool_ != nullptr;
+    prefetch_enabled_ = pooled && adversary_.oblivious();
+    async_cert_ = pooled && checker_.has_value() &&
+                  !options_.fail_fast_on_tinterval && rec_ == nullptr;
+    fused_enabled_ = pooled && DirectSendProgram<A> && adversary_.oblivious();
+
     // Outbox slots start default-constructed and sent flags zero. Fused
     // mode double-buffers both arrays so round r+1's staged messages never
     // alias the slots round r is still delivering.
@@ -1051,9 +1032,9 @@ class Engine final : private AdversaryView {
 
     // Memory accounting: resolve the gauges once, charge the fixed
     // per-node structures now; the live-topology gauge is updated per
-    // round. All charged sizes are pure functions of n and the topology
-    // stream, so RunStats::memory is as deterministic as the rest of the
-    // stats.
+    // round. All charged sizes are pure functions of n, the thread rule
+    // and the topology stream, so RunStats::memory is as deterministic as
+    // the rest of the stats at a given pooled-or-serial setting.
     budget_ = options_.memory_budget != nullptr ? options_.memory_budget
                                                 : &owned_budget_;
     mem_outbox_ = budget_->Get("outbox");
@@ -1067,32 +1048,6 @@ class Engine final : private AdversaryView {
         static_cast<std::size_t>(halves)));
     mem_programs_->SetCurrent(
         static_cast<std::int64_t>(static_cast<std::size_t>(n_) * sizeof(A)));
-
-    // Parallel geometry. Shard count is a function of n alone; the thread
-    // count only decides how many lanes execute those shards.
-    int threads = options_.threads;
-    if (threads == 0) {
-      threads = static_cast<int>(std::thread::hardware_concurrency());
-      if (threads <= 0) threads = 1;
-    }
-    shards_ = std::clamp<std::int64_t>(n_ / kMinShardNodes, 1, kMaxShards);
-    lanes_ = static_cast<int>(std::min<std::int64_t>(threads, shards_));
-    pool_ = lanes_ > 1 ? &util::ThreadPool::Shared() : nullptr;
-    // Prefetch runs on the lane; only worth it at sizes where a round
-    // costs real work. Gated on threads > 1 so `threads = 1` keeps the
-    // round loop itself single-threaded. Prefetch composes with the
-    // composition fast path: Certify reads the claimed spans in the
-    // validate window or at the head of the lane task, and the next
-    // round's build (which would invalidate them) runs after it.
-    prefetch_enabled_ = options_.prefetch_topology && threads > 1 &&
-                        n_ >= 2 * kMinShardNodes && adversary_.oblivious();
-    // Async certification excludes exactly the configurations that read
-    // checker state mid-round: fail-fast (the verdict gates the round) and
-    // a flight recorder (its per-round kCheckerWindow track). The lane
-    // joins at the next Step or stats() cover everything else.
-    async_cert_ = checker_.has_value() && options_.async_certification &&
-                  incremental_ && !options_.fail_fast_on_tinterval &&
-                  rec_ == nullptr && threads > 1;
     shard_accum_.assign(static_cast<std::size_t>(shards_), ShardAccum{});
     if (fused_enabled_) {
       staged_accum_.assign(static_cast<std::size_t>(shards_), ShardAccum{});
@@ -1210,19 +1165,16 @@ class Engine final : private AdversaryView {
   double probe_total_rounds_ = 0.0;
   std::span<typename A::Message> outbox_;  // live half: one slot per node
   std::span<unsigned char> sent_;          // 1 iff the slot is live
-  graph::Graph last_topology_{0};  // from-scratch mode only
-  bool incremental_ = false;       // set from options_ by EnsureStarted
   bool need_delta_ = false;        // a checker or trace consumes deltas
   bool use_composition_ = false;   // checker rides the adversary's
                                    // composition claim — no delta needed
-  graph::DynGraph topo_{0};        // incremental mode's one live topology
+  graph::DynGraph topo_{0};        // the one live topology
   graph::TopologyDelta delta_;     // reused round-over-round delta buffer
 
   // ProduceTopology's output, consumed by Step's topology section: the
   // round list sits in topo_'s edit buffer (topo_assigned_) or delta_
-  // holds the round's delta; from-scratch mode leaves a whole graph.
+  // holds the round's delta.
   bool topo_assigned_ = false;
-  graph::Graph produced_graph_{0};
   bool topo_direct_supported_ = true;  // RoundEdgesInto has not declined
 
   // Per-path round counters (see dense_delivery_rounds()).

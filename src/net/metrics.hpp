@@ -45,7 +45,7 @@ struct EngineTimings {
   /// outside the partition identity: total_ns stays the critical-path wall
   /// time, and aux_* record how much phase work the overlap hid. When
   /// prefetch is active, topology_ns shrinks to the join wait and the build
-  /// cost moves here; likewise validate_ns under async certification. Sum
+  /// cost moves here; likewise validate_ns when the lane certifies. Sum
   /// of phases = total_ns + aux_topology_ns + aux_validate_ns; overlap
   /// efficiency = that sum / total_ns (>= 1; 1.0 = no overlap happened).
   std::int64_t aux_topology_ns = 0;  ///< lane: next round's build

@@ -33,7 +33,7 @@
 // off (test_determinism pins it). The registry counters the plane creates
 // are flagged non-deterministic: certification state is sampled only when
 // the checker is synchronous, so whether a rule can see a regression
-// depends on the thread count and the overlap toggles.
+// depends on the thread count (a pooled run certifies on its lane).
 #pragma once
 
 #include <cstdint>

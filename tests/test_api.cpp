@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <string>
 
+#include "adversary/static_adversary.hpp"
+#include "algo/flood_max.hpp"
+#include "graph/generators.hpp"
+#include "net/engine.hpp"
 #include "util/check.hpp"
 
 namespace sdn {
@@ -24,6 +30,44 @@ TEST(Api, ToStringCoversAllAlgorithms) {
     names.insert(ToString(a));
   }
   EXPECT_EQ(names.size(), AllAlgorithms().size());
+}
+
+// The engine runs one configuration. Four retired toggles stay in RunConfig
+// and EngineOptions only while an outside caller still assigns them; false
+// on any of them is a CheckError naming the field, set through either.
+TEST(Api, RetiredEngineTogglesRejectFalse) {
+  const char* names[] = {"incremental_topology", "prefetch_topology",
+                         "async_certification", "fused_send_deliver"};
+  bool RunConfig::*const config_fields[] = {
+      &RunConfig::incremental_topology, &RunConfig::prefetch_topology,
+      &RunConfig::async_certification, &RunConfig::fused_send_deliver};
+  bool net::EngineOptions::*const option_fields[] = {
+      &net::EngineOptions::incremental_topology,
+      &net::EngineOptions::prefetch_topology,
+      &net::EngineOptions::async_certification,
+      &net::EngineOptions::fused_send_deliver};
+  const auto error = [](const auto& run) -> std::string {
+    try {
+      run();
+    } catch (const util::CheckError& e) {
+      return e.what();
+    }
+    return "no CheckError";
+  };
+  adversary::StaticAdversary adv(graph::Path(4));
+  const std::vector<algo::FloodMaxKnownN> nodes(4, {0, 4, 0});
+  for (std::size_t i = 0; i < std::size(names); ++i) {
+    RunConfig config;
+    config.n = 4;
+    config.*config_fields[i] = false;
+    net::EngineOptions opts;
+    opts.*option_fields[i] = false;
+    for (const std::string& what :
+         {error([&] { (void)RunAlgorithm(Algorithm::kFloodMaxKnownN, config); }),
+          error([&] { net::Engine<algo::FloodMaxKnownN>(nodes, adv, opts); })}) {
+      EXPECT_NE(what.find(names[i]), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Api, FloodMaxRunGradesCorrect) {

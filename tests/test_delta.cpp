@@ -1,8 +1,8 @@
-// Tests for the delta-based incremental topology pipeline: TopologyDelta /
-// DynGraph semantics, the pooled CSR fill against the serial one, the
-// Adversary::DeltaFor contract across every factory kind, the delta-driven
-// streaming T-interval checker, and bit-identical RunStats between the
-// incremental and from-scratch engine paths.
+// Tests for the delta-based topology pipeline: TopologyDelta / DynGraph
+// semantics, the pooled CSR fill against the serial one, the
+// Adversary::DeltaFor contract across every factory kind, and the
+// delta-driven streaming T-interval checker. The engine-level from-scratch
+// reference lives in test_engine (FromScratchAdversary).
 #include "graph/delta.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "adversary/factory.hpp"
-#include "core/api.hpp"
 #include "graph/generators.hpp"
 #include "graph/tinterval.hpp"
 #include "net/adversary.hpp"
@@ -301,88 +300,6 @@ TEST(TIntervalChecker, FlagsFirstBadWindowOfAbruptCut) {
   EXPECT_FALSE(checker.Push(Graph(6)));
   EXPECT_FALSE(checker.ok());
   EXPECT_EQ(checker.first_bad_window(), 4);
-}
-
-/// Comparable RunStats fields (timings excluded — wall clock).
-void ExpectSameStats(const net::RunStats& a, const net::RunStats& b,
-                     const std::string& label) {
-  EXPECT_EQ(a.rounds, b.rounds) << label;
-  EXPECT_EQ(a.all_decided, b.all_decided) << label;
-  EXPECT_EQ(a.hit_max_rounds, b.hit_max_rounds) << label;
-  EXPECT_EQ(a.first_decide_round, b.first_decide_round) << label;
-  EXPECT_EQ(a.last_decide_round, b.last_decide_round) << label;
-  EXPECT_EQ(a.decide_round, b.decide_round) << label;
-  EXPECT_EQ(a.messages_sent, b.messages_sent) << label;
-  EXPECT_EQ(a.sends_per_node, b.sends_per_node) << label;
-  EXPECT_EQ(a.total_message_bits, b.total_message_bits) << label;
-  EXPECT_EQ(a.max_message_bits, b.max_message_bits) << label;
-  EXPECT_EQ(a.edges_processed, b.edges_processed) << label;
-  EXPECT_EQ(a.messages_delivered, b.messages_delivered) << label;
-  EXPECT_EQ(a.tinterval_ok, b.tinterval_ok) << label;
-  EXPECT_EQ(a.tinterval_validated, b.tinterval_validated) << label;
-  EXPECT_EQ(a.flooding.probes, b.flooding.probes) << label;
-  EXPECT_EQ(a.flooding.completed, b.flooding.completed) << label;
-  EXPECT_EQ(a.flooding.max_rounds, b.flooding.max_rounds) << label;
-}
-
-/// End to end: the incremental engine path produces bit-identical RunStats
-/// to the from-scratch path, with validation and probes on.
-TEST(IncrementalEngine, RunStatsMatchFromScratchPath) {
-  // n = 192 at threads = 2 runs both paths' topology producer on the
-  // engine's lane (oblivious adversaries only).
-  for (const int threads : {1, 2}) {
-    for (const std::string& kind :
-         {std::string("spine-gnp"), std::string("spine-expander"),
-          std::string("static-path"), std::string("adaptive-desc"),
-          std::string("mobile")}) {
-      RunConfig config;
-      config.n = threads == 1 ? 48 : 192;
-      config.T = 2;
-      config.seed = 11;
-      config.adversary.kind = kind;
-      config.threads = threads;
-
-      config.incremental_topology = true;
-      const RunResult inc = RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
-      config.incremental_topology = false;
-      const RunResult scratch =
-          RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
-
-      const std::string label = kind + " threads=" + std::to_string(threads);
-      ExpectSameStats(inc.stats, scratch.stats, label);
-      EXPECT_TRUE(inc.Ok()) << label;
-      EXPECT_TRUE(scratch.Ok()) << label;
-    }
-  }
-}
-
-/// Same end-to-end comparison with validation off: with no checker and no
-/// trace recorder nothing consumes deltas, so adversaries with
-/// RoundEdgesInto assign each round directly with no DiffSorted at all, and
-/// that too must be bit-identical to the from-scratch path.
-TEST(IncrementalEngine, FastPathStatsMatchScratchWithValidationOff) {
-  for (const std::string& kind :
-       {std::string("spine-gnp"), std::string("spine-expander"),
-        std::string("static-path"), std::string("adaptive-desc"),
-        std::string("mobile")}) {
-    RunConfig config;
-    config.n = 48;
-    config.T = 2;
-    config.seed = 11;
-    config.adversary.kind = kind;
-    config.threads = 1;
-    config.validate_tinterval = false;
-
-    config.incremental_topology = true;
-    const RunResult fast = RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
-    config.incremental_topology = false;
-    const RunResult scratch = RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
-
-    ExpectSameStats(fast.stats, scratch.stats, kind);
-    EXPECT_FALSE(fast.stats.tinterval_validated) << kind;
-    EXPECT_TRUE(fast.Ok()) << kind;
-    EXPECT_TRUE(scratch.Ok()) << kind;
-  }
 }
 
 /// Independent CSR oracle: every node's neighbours collected and sorted.

@@ -1,21 +1,15 @@
-// Thread-count and overlap-toggle invariance of the parallel engine
-// (docs/PERF.md).
+// Thread-count invariance of the engine (docs/PERF.md).
 //
-// EngineOptions::threads is documented as a pure throughput knob: every
-// statistic except the wall-clock timings must be bit-identical whether the
-// send/deliver phases ran serially, on two lanes, or on every hardware lane
-// (with topology prefetch on oblivious adversaries). These tests pin that
+// EngineOptions::threads decides only how a run executes: threads 1 is the
+// serial engine, and threads > 1 at n >= 128 puts the send/deliver phases
+// on the pool and engages each pipelining overlap (topology prefetch,
+// certification on the auxiliary lane, fused send/deliver) whose
+// precondition holds. Every statistic except the wall-clock timings must
+// be bit-identical at threads 1, 2 and hardware. These tests pin that
 // contract for representative algorithms on an oblivious adversary
-// (spine-gnp, prefetch exercised) and an adaptive one (adaptive-desc,
-// prefetch disabled, parallel phases still on). n = 192 gives 3 shards, so
-// threads > 1 genuinely takes the pool path.
-//
-// The pipelining overlaps (prefetch_topology, async_certification,
-// fused_send_deliver) carry the same contract: each is a pure scheduling
-// change, so the overlap matrix below runs every toggle individually and
-// all together, across thread counts and across oblivious / adaptive /
-// streaming-trace adversaries, against an all-overlaps-off serial
-// reference.
+// (spine-gnp: prefetch and fusion engage), an adaptive one (adaptive-desc:
+// only the phases are parallel) and a streaming-trace replay. n = 192
+// gives 3 shards, so threads > 1 genuinely takes the pool path.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -62,83 +56,41 @@ void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.stats.flooding.probes, b.stats.flooding.probes);
   EXPECT_EQ(a.stats.flooding.completed, b.stats.flooding.completed);
   EXPECT_EQ(a.stats.flooding.max_rounds, b.stats.flooding.max_rounds);
+  EXPECT_EQ(a.stats.tinterval_validated, b.stats.tinterval_validated);
+  EXPECT_EQ(a.stats.tinterval_ok, b.stats.tinterval_ok);
+  EXPECT_EQ(a.stats.certified_T, b.stats.certified_T);
+  EXPECT_EQ(a.stats.min_stable_forest, b.stats.min_stable_forest);
+  EXPECT_EQ(a.stats.tinterval_first_bad_window,
+            b.stats.tinterval_first_bad_window);
   EXPECT_EQ(a.count_exact, b.count_exact);
   EXPECT_EQ(a.max_correct, b.max_correct);
   EXPECT_EQ(a.consensus_agreement, b.consensus_agreement);
 }
 
+/// Serial (threads 1) against pooled runs at threads 2 and hardware. With
+/// `validate` on, certification is genuinely exercised on the pooled runs'
+/// lane and its verdict fields are compared against the serial checker's.
 void CheckThreadInvariance(Algorithm algorithm, const std::string& adversary,
-                           std::int64_t max_rounds) {
+                           std::int64_t max_rounds, bool validate = false) {
   RunConfig config;
   config.n = 192;
   config.T = 2;
   config.seed = 12345;
   config.adversary.kind = adversary;
   config.max_rounds = max_rounds;
-  config.validate_tinterval = false;
+  config.validate_tinterval = validate;
 
   // 1 = serial reference, 2 = minimal parallel, 0 = every hardware lane.
   config.threads = 1;
   const RunResult serial = RunAlgorithm(algorithm, config);
+  EXPECT_EQ(serial.stats.tinterval_validated, validate);
+  EXPECT_TRUE(serial.stats.tinterval_ok);
   for (const int threads : {2, 0}) {
     config.threads = threads;
     const RunResult parallel = RunAlgorithm(algorithm, config);
     SCOPED_TRACE(std::string(ToString(algorithm)) + " on " + adversary +
                  " threads=" + std::to_string(threads));
     ExpectIdenticalRuns(serial, parallel);
-  }
-}
-
-// One overlap-matrix sweep: an all-overlaps-off serial run is the
-// reference; each pipelining toggle alone, and all three together, must
-// reproduce it bit-for-bit at threads 1, 2 and hardware. Certification is
-// ON here (unlike the thread-invariance tests above) so certification on
-// the engine's lane is genuinely exercised and its verdict fields are
-// compared against the synchronous checker's.
-void CheckOverlapInvariance(Algorithm algorithm, const std::string& adversary,
-                            std::int64_t max_rounds) {
-  RunConfig config;
-  config.n = 192;
-  config.T = 2;
-  config.seed = 12345;
-  config.adversary.kind = adversary;
-  config.max_rounds = max_rounds;
-  config.validate_tinterval = true;
-
-  config.threads = 1;
-  config.prefetch_topology = false;
-  config.async_certification = false;
-  config.fused_send_deliver = false;
-  const RunResult reference = RunAlgorithm(algorithm, config);
-  EXPECT_TRUE(reference.stats.tinterval_validated);
-  EXPECT_TRUE(reference.stats.tinterval_ok);
-
-  // {prefetch_topology, async_certification, fused_send_deliver}.
-  constexpr bool kRows[4][3] = {{true, false, false},
-                                {false, true, false},
-                                {false, false, true},
-                                {true, true, true}};
-  for (const auto& row : kRows) {
-    for (const int threads : {1, 2, 0}) {
-      config.prefetch_topology = row[0];
-      config.async_certification = row[1];
-      config.fused_send_deliver = row[2];
-      config.threads = threads;
-      SCOPED_TRACE(std::string(ToString(algorithm)) + " on " + adversary +
-                   " prefetch=" + std::to_string(row[0]) +
-                   " async_cert=" + std::to_string(row[1]) +
-                   " fused=" + std::to_string(row[2]) +
-                   " threads=" + std::to_string(threads));
-      const RunResult run = RunAlgorithm(algorithm, config);
-      ExpectIdenticalRuns(reference, run);
-      EXPECT_EQ(reference.stats.tinterval_validated,
-                run.stats.tinterval_validated);
-      EXPECT_EQ(reference.stats.tinterval_ok, run.stats.tinterval_ok);
-      EXPECT_EQ(reference.stats.certified_T, run.stats.certified_T);
-      EXPECT_EQ(reference.stats.min_stable_forest, run.stats.min_stable_forest);
-      EXPECT_EQ(reference.stats.tinterval_first_bad_window,
-                run.stats.tinterval_first_bad_window);
-    }
   }
 }
 
@@ -171,28 +123,29 @@ TEST(Determinism, KloCommitteeOnAdaptiveAdversary) {
   CheckThreadInvariance(Algorithm::kKloCommittee, "adaptive-desc", 2'000);
 }
 
-// Overlap matrix, oblivious arm: spine-gnp claims compositions, so the
-// async-certification rows here certify composition claims in place on
-// the engine's lane, and prefetch + fusion both engage at threads > 1.
-TEST(Determinism, OverlapTogglesOnObliviousSpine) {
-  CheckOverlapInvariance(Algorithm::kHjswyCensus, "spine-gnp", 100'000);
+// Validated runs, oblivious arm: spine-gnp claims compositions, so the
+// pooled runs certify composition claims in place on the engine's lane
+// while prefetch and fusion engage.
+TEST(Determinism, ValidatedRunsOnObliviousSpine) {
+  CheckThreadInvariance(Algorithm::kHjswyCensus, "spine-gnp", 100'000,
+                        /*validate=*/true);
 }
 
-// Overlap matrix, adaptive arm: prefetch and fusion are gated off by the
-// engine (the adversary samples PublicState between rounds), so these rows
-// pin that the toggles are safe no-ops there while the async checker still
+// Validated runs, adaptive arm: prefetch and fusion stay off (the
+// adversary samples PublicState between rounds) while the lane checker
 // consumes per-round deltas off the critical path.
-TEST(Determinism, OverlapTogglesOnAdaptiveAdversary) {
-  CheckOverlapInvariance(Algorithm::kKloCensusT, "adaptive-desc", 3'000);
+TEST(Determinism, ValidatedRunsOnAdaptiveAdversary) {
+  CheckThreadInvariance(Algorithm::kKloCensusT, "adaptive-desc", 3'000,
+                        /*validate=*/true);
 }
 
-// Overlap matrix, streaming arm: record a spine trace to disk, then replay
-// it through StreamingTraceAdversary — delta-native, strictly sequential
-// DeltaFor, not registered in the factory, so this row runs the engine
-// directly. The lane must preserve the reader's in-order contract, and the
-// async checker must certify each round's delta before the prefetch
-// behind it in the same lane task overwrites that delta.
-TEST(Determinism, OverlapTogglesOnStreamingTrace) {
+// Streaming arm: record a spine trace to disk, then replay it through
+// StreamingTraceAdversary — delta-native, strictly sequential DeltaFor,
+// not registered in the factory, so this test runs the engine directly.
+// The lane must preserve the reader's in-order contract, and the lane
+// checker must certify each round's delta before the prefetch behind it
+// in the same lane task overwrites that delta.
+TEST(Determinism, ThreadInvarianceOnStreamingTrace) {
   const graph::NodeId n = 192;
   const std::int64_t recorded_rounds = 48;
   adversary::AdversaryConfig source_config;
@@ -212,7 +165,7 @@ TEST(Determinism, OverlapTogglesOnStreamingTrace) {
   };
 
   const std::string path =
-      ::testing::TempDir() + "sdn_determinism_overlap_trace.txt";
+      ::testing::TempDir() + "sdn_determinism_stream_trace.txt";
   {
     net::TraceRecorder recorder(path, n, /*interval=*/2, /*keyframe_every=*/8);
     graph::DynGraph dyn(n);
@@ -226,7 +179,7 @@ TEST(Determinism, OverlapTogglesOnStreamingTrace) {
     recorder.Close();
   }
 
-  const auto run_streamed = [&path](bool overlaps, int threads) {
+  const auto run_streamed = [&path](int threads) {
     adversary::StreamingTraceAdversary streaming(path);
     algo::HjswyOptions options;
     options.T = streaming.interval();
@@ -244,35 +197,29 @@ TEST(Determinism, OverlapTogglesOnStreamingTrace) {
     opts.flood_probes = 0;
     opts.threads = threads;
     opts.max_rounds = 40;  // stays inside the recorded trace
-    opts.prefetch_topology = overlaps;
-    opts.async_certification = overlaps;
-    opts.fused_send_deliver = overlaps;
     net::Engine<algo::HjswyProgram> engine(std::move(nodes), streaming, opts);
     return engine.Run();
   };
 
-  const net::RunStats reference = run_streamed(/*overlaps=*/false,
-                                               /*threads=*/1);
+  const net::RunStats reference = run_streamed(/*threads=*/1);
   EXPECT_TRUE(reference.tinterval_validated);
   EXPECT_TRUE(reference.tinterval_ok);
-  for (const bool overlaps : {false, true}) {
-    for (const int threads : {1, 2, 0}) {
-      if (!overlaps && threads == 1) continue;  // that is the reference
-      SCOPED_TRACE("overlaps=" + std::to_string(overlaps) +
-                   " threads=" + std::to_string(threads));
-      const net::RunStats run = run_streamed(overlaps, threads);
-      EXPECT_EQ(reference.rounds, run.rounds);
-      EXPECT_EQ(reference.decide_round, run.decide_round);
-      EXPECT_EQ(reference.messages_sent, run.messages_sent);
-      EXPECT_EQ(reference.sends_per_node, run.sends_per_node);
-      EXPECT_EQ(reference.total_message_bits, run.total_message_bits);
-      EXPECT_EQ(reference.edges_processed, run.edges_processed);
-      EXPECT_EQ(reference.messages_delivered, run.messages_delivered);
-      EXPECT_EQ(reference.tinterval_validated, run.tinterval_validated);
-      EXPECT_EQ(reference.tinterval_ok, run.tinterval_ok);
-      EXPECT_EQ(reference.certified_T, run.certified_T);
-      EXPECT_EQ(reference.min_stable_forest, run.min_stable_forest);
-    }
+  for (const int threads : {2, 0}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const net::RunStats run = run_streamed(threads);
+    EXPECT_EQ(reference.rounds, run.rounds);
+    EXPECT_EQ(reference.decide_round, run.decide_round);
+    EXPECT_EQ(reference.messages_sent, run.messages_sent);
+    EXPECT_EQ(reference.sends_per_node, run.sends_per_node);
+    EXPECT_EQ(reference.total_message_bits, run.total_message_bits);
+    EXPECT_EQ(reference.edges_processed, run.edges_processed);
+    EXPECT_EQ(reference.messages_delivered, run.messages_delivered);
+    EXPECT_EQ(reference.tinterval_validated, run.tinterval_validated);
+    EXPECT_EQ(reference.tinterval_ok, run.tinterval_ok);
+    EXPECT_EQ(reference.certified_T, run.certified_T);
+    EXPECT_EQ(reference.min_stable_forest, run.min_stable_forest);
+    EXPECT_EQ(reference.tinterval_first_bad_window,
+              run.tinterval_first_bad_window);
   }
 
   std::remove(path.c_str());

@@ -6,7 +6,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -575,19 +574,31 @@ TEST(Engine, DenseAndGatherAgreeAcrossSilentRounds) {
   EXPECT_EQ(dense_stats.sends_per_node, gather_stats.sends_per_node);
 }
 
-/// Promises T=2 but alternates between edge-disjoint connected graphs, so no
-/// 2-window has a stable connected subgraph.
+/// Promises T=2 but alternates between edge-disjoint spanning trees (the
+/// path on odd rounds; node 0's star over 2..n-1 plus {1, n-1} on even
+/// ones), so no 2-window has a stable connected subgraph.
 class FlickerAdversary final : public Adversary {
  public:
-  [[nodiscard]] graph::NodeId num_nodes() const override { return 4; }
+  explicit FlickerAdversary(graph::NodeId n = 4)
+      : odd_(graph::Path(n)), even_(n, EvenEdges(n)) {}
+  [[nodiscard]] graph::NodeId num_nodes() const override {
+    return odd_.num_nodes();
+  }
   [[nodiscard]] int interval() const override { return 2; }
   graph::Graph TopologyFor(std::int64_t round, const AdversaryView&) override {
-    static const std::vector<graph::Edge> odd = {{0, 1}, {1, 2}, {2, 3}};
-    static const std::vector<graph::Edge> even = {{0, 2}, {0, 3}, {1, 3}};
-    return graph::Graph(
-        4, std::span<const graph::Edge>(round % 2 == 1 ? odd : even));
+    return round % 2 == 1 ? odd_ : even_;
   }
   [[nodiscard]] std::string name() const override { return "flicker"; }
+
+ private:
+  static std::vector<graph::Edge> EvenEdges(graph::NodeId n) {
+    std::vector<graph::Edge> edges;
+    for (graph::NodeId v = 2; v < n; ++v) edges.push_back({0, v});
+    edges.push_back({1, n - 1});
+    return edges;
+  }
+  graph::Graph odd_;
+  graph::Graph even_;
 };
 
 TEST(Engine, ValidationOffIsReportedHonestly) {
@@ -737,29 +748,107 @@ TEST(Engine, DirectSendMatchesOptionalSend) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-topology delta gating (PR 6 satellite c).
+// The from-scratch reference and delta gating.
+
+/// The from-scratch reference: forwards TopologyFor and nothing faster (no
+/// RoundEdgesInto, no DeltaFor override, no composition claim), so the
+/// engine runs the base DeltaFor — Diff(previous round, TopologyFor) — and
+/// certifies by delta. Size, T, name and obliviousness are forwarded
+/// because the engine's rules read them.
+class FromScratchAdversary final : public Adversary {
+ public:
+  explicit FromScratchAdversary(Adversary& inner) : inner_(inner) {}
+  [[nodiscard]] graph::NodeId num_nodes() const override {
+    return inner_.num_nodes();
+  }
+  [[nodiscard]] int interval() const override { return inner_.interval(); }
+  graph::Graph TopologyFor(std::int64_t round,
+                           const AdversaryView& view) override {
+    return inner_.TopologyFor(round, view);
+  }
+  [[nodiscard]] bool oblivious() const override { return inner_.oblivious(); }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+ private:
+  Adversary& inner_;
+};
+
+/// Every deterministic RunStats field (timings and memory excluded).
+auto CoreStats(const RunStats& s) {
+  return std::tie(s.rounds, s.all_decided, s.hit_max_rounds,
+                  s.first_decide_round, s.last_decide_round, s.decide_round,
+                  s.messages_sent, s.sends_per_node, s.total_message_bits,
+                  s.max_message_bits, s.edges_processed, s.messages_delivered,
+                  s.tinterval_validated, s.tinterval_ok, s.certified_T,
+                  s.min_stable_forest, s.tinterval_first_bad_window,
+                  s.flooding.probes, s.flooding.completed,
+                  s.flooding.max_rounds);
+}
+
+TEST(Engine, FromScratchReferenceMatchesEveryAdversaryPath) {
+  // Each factory adversary runs through its fastest path (RoundEdgesInto,
+  // its own DeltaFor, a composition claim); wrapped, the same adversary
+  // runs from scratch. Both must give identical RunStats, serial and
+  // pooled (n = 192 is three shards), validated or not.
+  const graph::NodeId n = 192;
+  for (const char* kind : {"spine-gnp", "spine-expander", "static-path",
+                           "adaptive-desc", "mobile"}) {
+    for (const int threads : {1, 2}) {
+      for (const bool validate : {true, false}) {
+        SCOPED_TRACE(std::string(kind) + " threads=" +
+                     std::to_string(threads) +
+                     " validate=" + std::to_string(validate));
+        adversary::AdversaryConfig config;
+        config.kind = kind;
+        config.n = n;
+        config.T = 2;
+        config.seed = 11;
+        const auto run = [&](bool scratch) {
+          const auto adv = adversary::MakeAdversary(config);
+          FromScratchAdversary wrapped(*adv);
+          std::vector<FloodMaxKnownN> nodes;
+          for (graph::NodeId u = 0; u < n; ++u) {
+            nodes.emplace_back(u, n, (u * 37) % n);
+          }
+          EngineOptions opts;
+          opts.threads = threads;
+          opts.validate_tinterval = validate;
+          Engine<FloodMaxKnownN> engine(
+              std::move(nodes), scratch ? wrapped : *adv, opts);
+          return engine.Run();
+        };
+        const RunStats native = run(false);
+        const RunStats scratch = run(true);
+        EXPECT_TRUE(native.all_decided);
+        EXPECT_TRUE(native.tinterval_ok);
+        EXPECT_EQ(CoreStats(native), CoreStats(scratch));
+      }
+    }
+  }
+}
 
 TEST(Engine, ConsumersSeeEveryDeltaOnIncrementalPath) {
   // Regression for the delta-gating audit: the direct topology path skips
   // delta production unless a consumer needs one, and the topology trace
   // is such a consumer. Attach it together with the T-interval checker and
-  // the flight recorder on the incremental path and pin the recorded trace
-  // against the legacy from-scratch path's.
+  // the flight recorder and pin the recorded trace against the
+  // from-scratch reference's topologies.
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
   config.n = 32;
   config.T = 2;
   config.seed = 77;
-  const auto run = [&config](bool incremental, std::vector<graph::Graph>* trace,
+  const auto run = [&config](bool scratch, std::vector<graph::Graph>* trace,
                              TraceRecorder* trace_file,
                              obs::FlightRecorder* rec) {
     const auto adv = adversary::MakeAdversary(config);
+    FromScratchAdversary wrapped(*adv);
     std::vector<InboxCounter> nodes(32, InboxCounter(40));
     EngineOptions opts;
-    opts.incremental_topology = incremental;
     opts.record_trace = trace_file;
     opts.recorder = rec;
-    Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
+    Engine<InboxCounter> engine(std::move(nodes), scratch ? wrapped : *adv,
+                                opts);
     return RunRecordingTopologies(engine, *trace);
   };
   const std::string path = ::testing::TempDir() + "sdn_consumers.trace";
@@ -767,9 +856,9 @@ TEST(Engine, ConsumersSeeEveryDeltaOnIncrementalPath) {
   std::vector<graph::Graph> scratch_trace;
   TraceRecorder trace_file(path, 32, 2);
   obs::FlightRecorder rec;
-  const RunStats inc = run(true, &inc_trace, &trace_file, &rec);
+  const RunStats inc = run(false, &inc_trace, &trace_file, &rec);
   trace_file.Close();
-  const RunStats scratch = run(false, &scratch_trace, nullptr, nullptr);
+  const RunStats scratch = run(true, &scratch_trace, nullptr, nullptr);
   EXPECT_EQ(LoadTrace(path).rounds, inc_trace);
   std::remove(path.c_str());
   EXPECT_TRUE(inc.tinterval_validated);
@@ -814,61 +903,33 @@ TEST(Engine, CertifiedTEqualsTOnHonestRuns) {
   EXPECT_EQ(stats.min_stable_forest, 31);
 }
 
-TEST(Engine, FailFastOnTIntervalThrowsAndRecordsWindow) {
-  FlickerAdversary adv;
-  std::vector<InboxCounter> nodes(4, InboxCounter(4));
-  EngineOptions opts;
-  opts.fail_fast_on_tinterval = true;
-  Engine<InboxCounter> engine(std::move(nodes), adv, opts);
-  EXPECT_THROW(engine.Run(), util::CheckError);
-  // Mirrors the bandwidth-violation shape: the books are closed before the
-  // throw, so the violation is attributable from the stats snapshot.
-  const RunStats stats = engine.stats();
-  EXPECT_EQ(stats.tinterval_first_bad_window, 0);
-  EXPECT_FALSE(stats.tinterval_ok);
-}
-
-TEST(Engine, FailFastUnderAsyncCertificationMatchesSerialAbort) {
-  // fail_fast_on_tinterval pins the checker to the synchronous path even
-  // when async_certification is requested (an async verdict would surface
-  // at stats() instead of aborting the violating round): the parallel
-  // async-requested run must throw at exactly the serial engine's abort
-  // round with the same violating window in the books.
-  const auto run_fail_fast = [](bool async_cert, int threads) {
-    FlickerAdversary adv;
-    std::vector<InboxCounter> nodes(4, InboxCounter(4));
+TEST(Engine, FailFastAtAPooledSizeAbortsAtTheSerialRound) {
+  // Fail-fast keeps the checker off the lane (the verdict gates the round),
+  // so a pooled run — n = 128 is two shards, threads = 2 — must throw at
+  // exactly the serial engine's abort round, while the lane still
+  // prefetches. Like a bandwidth violation, the books are closed before
+  // the throw, so the violating window is in the stats snapshot.
+  const auto run_fail_fast = [](int threads) {
+    FlickerAdversary adv(128);
+    std::vector<InboxCounter> nodes(128, InboxCounter(4));
     EngineOptions opts;
     opts.fail_fast_on_tinterval = true;
-    opts.async_certification = async_cert;
     opts.threads = threads;
     Engine<InboxCounter> engine(std::move(nodes), adv, opts);
     EXPECT_THROW(engine.Run(), util::CheckError);
     return engine.stats();
   };
-  const RunStats serial = run_fail_fast(/*async_cert=*/false, /*threads=*/1);
-  const RunStats parallel = run_fail_fast(/*async_cert=*/true, /*threads=*/2);
-  EXPECT_EQ(serial.rounds, parallel.rounds);
+  const RunStats serial = run_fail_fast(/*threads=*/1);
+  const RunStats pooled = run_fail_fast(/*threads=*/2);
+  EXPECT_EQ(serial.rounds, 2);
+  EXPECT_EQ(serial.rounds, pooled.rounds);
   EXPECT_EQ(serial.tinterval_first_bad_window,
-            parallel.tinterval_first_bad_window);
-  EXPECT_EQ(parallel.tinterval_first_bad_window, 0);
-  EXPECT_FALSE(parallel.tinterval_ok);
-  EXPECT_EQ(serial.messages_delivered, parallel.messages_delivered);
-}
-
-TEST(Engine, FailFastIsInertOnHonestRuns) {
-  adversary::AdversaryConfig config;
-  config.kind = "spine-gnp";
-  config.n = 24;
-  config.T = 2;
-  config.seed = 3;
-  const auto adv = adversary::MakeAdversary(config);
-  std::vector<InboxCounter> nodes(24, InboxCounter(20));
-  EngineOptions opts;
-  opts.fail_fast_on_tinterval = true;
-  Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
-  const RunStats stats = engine.Run();
-  EXPECT_TRUE(stats.tinterval_ok);
-  EXPECT_EQ(stats.certified_T, 2);
+            pooled.tinterval_first_bad_window);
+  EXPECT_EQ(pooled.tinterval_first_bad_window, 0);
+  EXPECT_FALSE(pooled.tinterval_ok);
+  EXPECT_EQ(serial.messages_delivered, pooled.messages_delivered);
+  EXPECT_EQ(pooled.timings.aux_validate_ns, 0);
+  EXPECT_GT(pooled.timings.aux_topology_ns, 0);
 }
 
 TEST(Engine, CompositionPathMatchesGeneralCheckerPath) {
@@ -1071,59 +1132,66 @@ TEST(Engine, FailedLaneTaskFailsEveryLaterStep) {
   EXPECT_EQ(engine.current_round(), 4);
 }
 
-TEST(Engine, LaneWorkShowsInAuxTimingsExactlyWhenItsOptionEngages) {
-  // The engine's one lane certifies a round (async_certification) and then
-  // builds the next one (prefetch_topology, oblivious adversaries only).
-  // Each shows in its lane-side clock exactly when its option engages,
-  // and neither moves a core stat. adaptive-desc is not oblivious, so its
-  // lane task only certifies.
+TEST(Engine, LaneWorkFollowsTheOverlapRule) {
+  // The engine's one lane certifies a round and then builds the next one.
+  // Each half shows in its lane-side clock exactly when the overlap rule
+  // engages it: certification on pooled runs with a checker and neither
+  // fail-fast nor a recorder, prefetch on pooled runs of an oblivious
+  // adversary. A run is pooled at threads > 1 and n >= 128. Neither half
+  // moves a core stat.
   struct Row {
     const char* kind;
-    bool prefetch;
-    bool async_cert;
+    graph::NodeId n;
+    int threads;
+    bool validate;
+    bool fail_fast;
+    bool recorder;
   };
   constexpr Row kRows[] = {
-      {"spine-gnp", false, false},    {"spine-gnp", true, false},
-      {"spine-gnp", false, true},     {"spine-gnp", true, true},
-      {"adaptive-desc", true, false}, {"adaptive-desc", true, true}};
-  const graph::NodeId n = 256;
-  std::map<std::string, RunStats> reference;
+      {"spine-gnp", 256, 1, true, false, false},
+      {"spine-gnp", 256, 2, true, false, false},
+      {"spine-gnp", 256, 2, false, false, false},
+      {"spine-gnp", 256, 2, true, true, false},
+      {"spine-gnp", 256, 2, true, false, true},
+      {"spine-gnp", 64, 2, true, false, false},
+      {"adaptive-desc", 256, 1, true, false, false},
+      {"adaptive-desc", 256, 2, true, false, false},
+  };
+  std::map<std::pair<std::string, graph::NodeId>, RunStats> reference;
   for (const Row& row : kRows) {
-    SCOPED_TRACE(std::string(row.kind) +
-                 " prefetch=" + std::to_string(row.prefetch) +
-                 " async_cert=" + std::to_string(row.async_cert));
+    SCOPED_TRACE(std::string(row.kind) + " n=" + std::to_string(row.n) +
+                 " threads=" + std::to_string(row.threads) +
+                 " validate=" + std::to_string(row.validate) +
+                 " fail_fast=" + std::to_string(row.fail_fast) +
+                 " recorder=" + std::to_string(row.recorder));
     adversary::AdversaryConfig config;
     config.kind = row.kind;
-    config.n = n;
+    config.n = row.n;
     config.T = 2;
     config.seed = 17;
     const auto adv = adversary::MakeAdversary(config);
+    obs::FlightRecorder rec;
     EngineOptions opts;
-    opts.threads = 2;
-    opts.prefetch_topology = row.prefetch;
-    opts.async_certification = row.async_cert;
+    opts.threads = row.threads;
+    opts.validate_tinterval = row.validate;
+    opts.fail_fast_on_tinterval = row.fail_fast;
+    if (row.recorder) opts.recorder = &rec;
     Engine<InboxCounter> engine(
-        std::vector<InboxCounter>(static_cast<std::size_t>(n),
+        std::vector<InboxCounter>(static_cast<std::size_t>(row.n),
                                   InboxCounter(30)),
         *adv, opts);
     const RunStats stats = engine.Run();
-    EXPECT_EQ(stats.timings.aux_validate_ns > 0, row.async_cert);
-    EXPECT_EQ(stats.timings.aux_topology_ns > 0,
-              row.prefetch && adv->oblivious());
-    const auto [it, first] = reference.emplace(row.kind, stats);
-    if (first) continue;
-    const RunStats& ref = it->second;
-    EXPECT_EQ(stats.rounds, ref.rounds);
-    EXPECT_EQ(stats.decide_round, ref.decide_round);
-    EXPECT_EQ(stats.messages_sent, ref.messages_sent);
-    EXPECT_EQ(stats.messages_delivered, ref.messages_delivered);
-    EXPECT_EQ(stats.sends_per_node, ref.sends_per_node);
-    EXPECT_EQ(stats.edges_processed, ref.edges_processed);
-    EXPECT_EQ(stats.tinterval_ok, ref.tinterval_ok);
-    EXPECT_EQ(stats.certified_T, ref.certified_T);
-    EXPECT_EQ(stats.min_stable_forest, ref.min_stable_forest);
-    EXPECT_EQ(stats.tinterval_first_bad_window,
-              ref.tinterval_first_bad_window);
+    const bool pooled = row.threads > 1 && row.n >= 128;
+    EXPECT_EQ(stats.timings.aux_validate_ns > 0,
+              pooled && row.validate && !row.fail_fast && !row.recorder);
+    EXPECT_EQ(stats.timings.aux_topology_ns > 0, pooled && adv->oblivious());
+    if (!row.validate) continue;  // the certification fields differ
+    EXPECT_EQ(stats.certified_T, 2);  // fail-fast is inert on honest runs
+    const auto [it, first] =
+        reference.emplace(std::pair{std::string(row.kind), row.n}, stats);
+    if (!first) {
+      EXPECT_EQ(CoreStats(it->second), CoreStats(stats));
+    }
   }
 }
 
