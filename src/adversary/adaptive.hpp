@@ -44,8 +44,9 @@ class AdaptiveSortPathAdversary final : public net::Adversary {
   [[nodiscard]] bool oblivious() const override { return false; }
 
  private:
-  /// Sorted edge list of a fresh state-sorted path.
-  std::vector<graph::Edge> BuildSortedPath(const net::AdversaryView& view);
+  /// Writes into `out` the sorted edge list of a fresh state-sorted path.
+  void BuildSortedPath(const net::AdversaryView& view,
+                       std::vector<graph::Edge>& out);
   /// Advances the era state machine and fills `out` with round's sorted,
   /// deduplicated edge list (spine, plus the previous era's spine during
   /// the first T-1 rounds of an era).
@@ -60,6 +61,13 @@ class AdaptiveSortPathAdversary final : public net::Adversary {
   std::int64_t current_era_ = -1;
   std::vector<graph::Edge> current_spine_;   // sorted
   std::vector<graph::Edge> previous_spine_;  // sorted; meaningful era >= 1
+  // Era-build scratch, reused every era.
+  struct Ranked {
+    double state;  // the node's PublicState at the era boundary
+    graph::NodeId node;
+  };
+  std::vector<Ranked> ranked_;          // path order once sorted
+  std::vector<std::size_t> position_;   // path position per node
 };
 
 }  // namespace sdn::adversary

@@ -69,7 +69,7 @@ struct RunConfig {
   int flood_probes = 4;
   /// Streaming T-interval validation of the adversary. Cheap enough to
   /// stay on everywhere (composition-claiming adversaries are certified by
-  /// witness, others by the incremental-forest delta path; docs/PERF.md
+  /// witness, others by the delta path's edge-age table; docs/PERF.md
   /// "Certification"). Turning it off is an explicit waiver: the result
   /// then reports certification as waived rather than vacuously ok.
   bool validate_tinterval = true;

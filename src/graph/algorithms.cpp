@@ -19,43 +19,6 @@ void UnionFind::Reset(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) parent_[i] = static_cast<NodeId>(i);
 }
 
-IncrementalForest::IncrementalForest(NodeId n)
-    : n_(n), uf_(static_cast<std::size_t>(n)) {
-  SDN_CHECK(n >= 1);
-}
-
-void IncrementalForest::Reset(NodeId n) {
-  SDN_CHECK(n >= 1);
-  n_ = n;
-  uf_.Reset(static_cast<std::size_t>(n));
-  tree_.clear();
-  dirty_ = false;
-}
-
-void IncrementalForest::BeginRebuild() {
-  uf_.Reset(static_cast<std::size_t>(n_));
-  tree_.clear();
-  dirty_ = false;
-}
-
-void IncrementalForest::Insert(NodeId u, NodeId v, std::uint64_t key) {
-  if (dirty_) return;  // rebuild will re-derive everything
-  if (uf_.Union(u, v)) {
-    tree_.insert(std::lower_bound(tree_.begin(), tree_.end(), key), key);
-  }
-}
-
-void IncrementalForest::Erase(std::uint64_t key) {
-  if (dirty_) return;
-  const auto it = std::lower_bound(tree_.begin(), tree_.end(), key);
-  if (it != tree_.end() && *it == key) {
-    // A spanning-tree edge left: connectivity may have changed and the
-    // union-find cannot split — defer to the owner's lazy rebuild.
-    dirty_ = true;
-  }
-  // Non-tree (cycle) edges leave the spanning forest intact.
-}
-
 std::vector<std::int32_t> BfsDistances(const Graph& g, NodeId source) {
   SDN_CHECK(source >= 0 && source < g.num_nodes());
   std::vector<std::int32_t> dist(static_cast<std::size_t>(g.num_nodes()), -1);

@@ -63,64 +63,6 @@ class UnionFind {
   std::size_t components_ = 0;
 };
 
-/// Incremental spanning forest over a changing edge set, built for the
-/// streaming T-interval checker's stable set. Insertions are near-O(α)
-/// (one union); deleting a non-tree edge is O(log tree) and leaves the
-/// forest valid; deleting a tree edge marks the structure dirty, and the
-/// owner re-derives it with BeginRebuild + Insert over the surviving edges
-/// — a lazy rebuild that is O(changes) amortized for the checker because
-/// stable-set deletions are bounded by delta sizes (a tree edge must have
-/// been inserted since the previous rebuild, ISSUE 7 / ROADMAP item 4).
-/// While dirty, Insert/Erase become no-ops (the rebuild re-derives
-/// everything) and the connectivity accessors are off-limits (checked).
-class IncrementalForest {
- public:
-  explicit IncrementalForest(NodeId n);
-
-  /// Drops all edges and re-targets to n nodes (buffer-reusing).
-  void Reset(NodeId n);
-
-  /// Starts a rebuild: clears the forest and the dirty flag; the caller
-  /// then Inserts every surviving edge.
-  void BeginRebuild();
-
-  /// A present edge (key = packed endpoint pair) joins the set. Records it
-  /// as a tree edge iff the union merged two components.
-  void Insert(NodeId u, NodeId v, std::uint64_t key);
-
-  /// The edge leaves the set. Non-tree edges keep the forest valid; a tree
-  /// edge marks it dirty until the next BeginRebuild pass.
-  void Erase(std::uint64_t key);
-
-  [[nodiscard]] bool dirty() const { return dirty_; }
-  [[nodiscard]] bool connected() const {
-    SDN_CHECK(!dirty_);
-    return uf_.num_components() == 1;
-  }
-  /// Spanning-forest size (n - #components) of the current edge set.
-  [[nodiscard]] std::int64_t forest_size() const {
-    SDN_CHECK(!dirty_);
-    return static_cast<std::int64_t>(n_) -
-           static_cast<std::int64_t>(uf_.num_components());
-  }
-  [[nodiscard]] std::int64_t tree_edges() const {
-    return static_cast<std::int64_t>(tree_.size());
-  }
-
-  /// Byte footprint of the owned buffers (memory-budget gauges).
-  [[nodiscard]] std::int64_t ApproxBytes() const {
-    return uf_.ApproxBytes() +
-           static_cast<std::int64_t>(tree_.capacity() * sizeof(std::uint64_t));
-  }
-
- private:
-  NodeId n_ = 0;
-  UnionFind uf_;
-  /// Sorted keys of the current spanning forest's edges.
-  std::vector<std::uint64_t> tree_;
-  bool dirty_ = false;
-};
-
 /// BFS hop distances from `source`; unreachable nodes get -1.
 std::vector<std::int32_t> BfsDistances(const Graph& g, NodeId source);
 

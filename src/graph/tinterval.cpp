@@ -1,6 +1,8 @@
 #include "graph/tinterval.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 #include "util/check.hpp"
@@ -26,6 +28,12 @@ bool ContainsEdge(std::span<const Edge> sorted, const Edge& e) {
         return a.u != b.u ? a.u < b.u : a.v < b.v;
       });
   return it != sorted.end() && it->u == e.u && it->v == e.v;
+}
+
+/// Unions the endpoints of a packed edge key; true if two sets merged.
+bool UnionKey(UnionFind& uf, std::uint64_t key) {
+  return uf.Union(static_cast<NodeId>(key >> 32),
+                  static_cast<NodeId>(key & 0xffffffffULL));
 }
 
 /// out = a ∩ b over sorted-unique edge lists.
@@ -78,13 +86,71 @@ TIntervalReport ValidateTInterval(std::span<const Graph> sequence, int T,
   return report;
 }
 
+void TIntervalChecker::EdgeAges::Reserve(std::size_t count) {
+  std::size_t cap = std::max<std::size_t>(slots_.size(), 16);
+  while (count * 2 > cap) cap *= 2;
+  if (cap == slots_.size()) return;
+  const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(cap));
+  mask_ = cap - 1;
+  shift_ = 64 - std::countr_zero(cap);
+  for (const Slot& s : old) {
+    if (s.key == kEmpty) continue;
+    std::size_t i = Home(s.key);
+    while (slots_[i].key != kEmpty) i = (i + 1) & mask_;
+    slots_[i] = s;
+  }
+}
+
+std::size_t TIntervalChecker::EdgeAges::Home(std::uint64_t key) const {
+  // Fibonacci hashing: the product's top bits mix every key bit, so runs of
+  // neighbouring (u, v) pairs spread over the whole table.
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+}
+
+TIntervalChecker::EdgeAges::Slot* TIntervalChecker::EdgeAges::Find(
+    std::uint64_t key) {
+  if (slots_.empty()) return nullptr;
+  for (std::size_t i = Home(key);; i = (i + 1) & mask_) {
+    if (slots_[i].key == key) return &slots_[i];
+    if (slots_[i].key == kEmpty) return nullptr;
+  }
+}
+
+bool TIntervalChecker::EdgeAges::Insert(std::uint64_t key, std::int64_t since) {
+  SDN_CHECK((size_ + 1) * 2 <= slots_.size());
+  std::size_t i = Home(key);
+  for (; slots_[i].key != kEmpty; i = (i + 1) & mask_) {
+    if (slots_[i].key == key) return false;
+  }
+  slots_[i] = {key, since << 1};
+  ++size_;
+  return true;
+}
+
+void TIntervalChecker::EdgeAges::Erase(Slot* slot) {
+  // Backward shift: walk the probe run past the hole and move back every
+  // entry whose home lies cyclically at or before the hole, so lookups
+  // never meet a gap inside a run.
+  auto hole = static_cast<std::size_t>(slot - slots_.data());
+  for (std::size_t j = (hole + 1) & mask_; slots_[j].key != kEmpty;
+       j = (j + 1) & mask_) {
+    const std::size_t home = Home(slots_[j].key);
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].key = kEmpty;
+  --size_;
+}
+
 TIntervalChecker::TIntervalChecker(NodeId n, int T)
     : n_(n),
       t_(T),
       cert_(T),
       min_stable_forest_(n - 1),
       boot_forest_(n - 1),
-      forest_(n) {
+      forest_(static_cast<std::size_t>(n)) {
   SDN_CHECK(T >= 1);
   SDN_CHECK(n >= 1);
   aging_.resize(static_cast<std::size_t>(t_));
@@ -114,47 +180,53 @@ bool TIntervalChecker::PushDeltaImpl(const TopologyDelta& delta) {
   const std::int64_t threshold = r - t_ + 1;
 
   for (const Edge& e : delta.removed) {
-    const auto it = since_.find(Key(e));
-    SDN_CHECK_MSG(it != since_.end(),
+    EdgeAges::Slot* slot = ages_.Find(Key(e));
+    SDN_CHECK_MSG(slot != nullptr,
                   "T-interval checker: delta removes absent edge ("
                       << e.u << "," << e.v << ") at round " << r);
-    if (it->second <= threshold - 1) {
+    if (slot->since() <= threshold - 1) {
       // Was in the previous round's stable set; the intersection shrinks.
+      // A tree edge leaving may split the forest, which union-find cannot
+      // undo; a cycle edge leaves it intact.
       --stable_count_;
-      forest_.Erase(Key(e));  // marks the forest dirty iff a tree edge
+      if (slot->tree()) forest_dirty_ = true;
     }
-    since_.erase(it);
+    ages_.Erase(slot);
   }
 
   // Added edges (re)appear now and can age into the stable set at round
   // r + T - 1; for T == 1 that is this very round, handled by the aging
   // pass below reading the bucket entries just pushed.
+  ages_.Reserve(ages_.size() + delta.added.size());
   auto& incoming = aging_[static_cast<std::size_t>((r + t_ - 1) % t_)];
   for (const Edge& e : delta.added) {
-    const bool inserted = since_.emplace(Key(e), r).second;
+    const bool inserted = ages_.Insert(Key(e), r);
     SDN_CHECK_MSG(inserted, "T-interval checker: delta adds present edge ("
                                 << e.u << "," << e.v << ") at round " << r);
-    incoming.push_back(e);
+    incoming.push_back(Key(e));
   }
 
   // Aging pass: edges scheduled for this round join the stable set if they
-  // are still present and were not re-added since scheduling.
+  // are still present and were not re-added since scheduling. While the
+  // forest is dirty the rebuild below re-derives every tree bit anyway.
   auto& bucket = aging_[static_cast<std::size_t>(r % t_)];
-  for (const Edge& e : bucket) {
-    const auto it = since_.find(Key(e));
-    if (it != since_.end() && it->second == threshold) {
+  for (const std::uint64_t key : bucket) {
+    EdgeAges::Slot* slot = ages_.Find(key);
+    if (slot != nullptr && slot->since() == threshold) {
       ++stable_count_;
-      forest_.Insert(e.u, e.v, Key(e));  // near-O(α) union
+      if (!forest_dirty_) {
+        slot->set_tree(UnionKey(forest_, key));
+      }
     }
   }
   bucket.clear();
 
   if (r >= t_) {
-    if (forest_.dirty()) RebuildForest(threshold);
-    const bool connected = forest_.connected();
-    min_stable_forest_ =
-        std::min(min_stable_forest_, forest_.forest_size());
-    if (!connected) {
+    if (forest_dirty_) RebuildForest(threshold);
+    const auto components =
+        static_cast<std::int64_t>(forest_.num_components());
+    min_stable_forest_ = std::min(min_stable_forest_, n_ - components);
+    if (components != 1) {
       if (ok_) first_bad_window_ = r - t_;
       ok_ = false;
       if (cert_ > 0) {
@@ -168,14 +240,17 @@ bool TIntervalChecker::PushDeltaImpl(const TopologyDelta& delta) {
 }
 
 void TIntervalChecker::RebuildForest(std::int64_t threshold) {
-  forest_.BeginRebuild();
+  // One pass over the table unions every stable edge into a fresh forest
+  // and stores each union's result as the slot's tree bit; unstable slots
+  // lose theirs.
+  forest_.Reset(static_cast<std::size_t>(n_));
+  forest_dirty_ = false;
   std::int64_t counted = 0;
-  for (const auto& [key, since] : since_) {
-    if (since <= threshold) {
-      forest_.Insert(static_cast<NodeId>(key >> 32),
-                     static_cast<NodeId>(key & 0xffffffffULL), key);
-      ++counted;
-    }
+  for (EdgeAges::Slot& slot : ages_.slots()) {
+    if (slot.key == EdgeAges::kEmpty) continue;
+    const bool stable = slot.since() <= threshold;
+    slot.set_tree(stable && UnionKey(forest_, slot.key));
+    counted += static_cast<std::int64_t>(stable);
   }
   SDN_CHECK_MSG(counted == stable_count_,
                 "T-interval checker stable-set bookkeeping drifted: counted "
@@ -187,10 +262,9 @@ void TIntervalChecker::EvaluateBootstrap(std::int64_t r) {
   // restricted to the rounds that exist is the prefix intersection
   // [1, r] = the present edges that have been in since round 1.
   scratch_uf_.Reset(static_cast<std::size_t>(n_));
-  for (const auto& [key, since] : since_) {
-    if (since <= 1) {
-      scratch_uf_.Union(static_cast<NodeId>(key >> 32),
-                        static_cast<NodeId>(key & 0xffffffffULL));
+  for (const EdgeAges::Slot& slot : ages_.slots()) {
+    if (slot.key != EdgeAges::kEmpty && slot.since() <= 1) {
+      UnionKey(scratch_uf_, slot.key);
     }
   }
   boot_forest_ = static_cast<std::int64_t>(n_) -
@@ -214,15 +288,15 @@ std::int64_t TIntervalChecker::LargestConnectedSuffix(std::int64_t r,
   for (std::int64_t i = 0; i < cap; ++i) {
     sweep_buckets_[static_cast<std::size_t>(i)].clear();
   }
-  for (const auto& [key, since] : since_) {
-    const std::int64_t idx = std::max<std::int64_t>(since - base, 0);
-    sweep_buckets_[static_cast<std::size_t>(idx)].push_back(key);
+  for (const EdgeAges::Slot& slot : ages_.slots()) {
+    if (slot.key == EdgeAges::kEmpty) continue;
+    const std::int64_t idx = std::max<std::int64_t>(slot.since() - base, 0);
+    sweep_buckets_[static_cast<std::size_t>(idx)].push_back(slot.key);
   }
   scratch_uf_.Reset(static_cast<std::size_t>(n_));
   for (std::int64_t i = 0; i < cap; ++i) {
     for (const std::uint64_t key : sweep_buckets_[static_cast<std::size_t>(i)]) {
-      scratch_uf_.Union(static_cast<NodeId>(key >> 32),
-                        static_cast<NodeId>(key & 0xffffffffULL));
+      UnionKey(scratch_uf_, key);
     }
     if (scratch_uf_.num_components() == 1) return cap - i;
   }
@@ -524,13 +598,10 @@ std::int64_t TIntervalChecker::ApproxBytes() const {
     using T = typename std::decay_t<decltype(v)>::value_type;
     return static_cast<std::int64_t>(v.capacity() * sizeof(T));
   };
-  // Hash map: per-entry node (key + value + chain pointer) plus the bucket
-  // array. Both counts are pure functions of the pushed stream, so the
-  // total is as deterministic as the rest of the checker's state.
-  std::int64_t total = static_cast<std::int64_t>(
-      since_.size() *
-          (sizeof(std::uint64_t) + sizeof(std::int64_t) + sizeof(void*)) +
-      since_.bucket_count() * sizeof(void*));
+  // Every capacity below, the edge-age table's included, is a pure
+  // function of the pushed stream, so the total is as deterministic as the
+  // rest of the checker's state.
+  std::int64_t total = ages_.ApproxBytes();
   for (const auto& bucket : aging_) total += vec(bucket);
   total += forest_.ApproxBytes() + scratch_uf_.ApproxBytes();
   for (const auto& bucket : sweep_buckets_) total += vec(bucket);

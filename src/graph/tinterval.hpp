@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/algorithms.hpp"
@@ -96,13 +95,17 @@ struct RoundComposition {
 ///
 /// Delta-driven: instead of buffering the last T graphs and intersecting
 /// them every round (O(T·E) per round), the checker tracks, per present
-/// edge, the round it most recently (re)appeared. The T-window intersection
-/// at round r is exactly the present edges with `since <= r - T + 1`, so
-/// per-round maintenance is O(|Δ|) amortized — removed edges leave, added
-/// edges are scheduled to "age into" the stable set T-1 rounds later — and
-/// connectivity rides an IncrementalForest: aged-in edges union in O(α),
-/// non-tree removals are free, and only a tree-edge removal forces a lazy
-/// O(stable) rebuild (bounded by the deltas that created those tree edges).
+/// edge, the round it most recently (re)appeared, in one flat
+/// open-addressing table keyed by the packed edge. The T-window
+/// intersection at round r is exactly the present edges with
+/// `since <= r - T + 1`, so per-round maintenance is O(|Δ|) amortized —
+/// removed edges leave, added edges are scheduled to "age into" the stable
+/// set T-1 rounds later. Connectivity rides a union-find over the stable
+/// set: an aged-in edge unions in O(α) and keeps the union's result as the
+/// slot's tree bit (the edge is in the spanning forest), a removed edge
+/// without the bit leaves the forest valid, and only a removed tree edge
+/// forces a lazy rebuild — one pass over the table that re-derives every
+/// tree bit (bounded by the deltas that created those tree edges).
 ///
 /// PushComposition is the certification fast path for adversaries that
 /// expose their round structure (RoundComposition): windows are certified
@@ -162,8 +165,8 @@ class TIntervalChecker {
   /// whole-prefix intersection, matching ValidateTInterval's clamping.
   [[nodiscard]] std::int64_t min_stable_forest() const;
 
-  /// Byte footprint of the checker's owned state (edge-age map, aging
-  /// ring, incremental forest, scratch buffers, fresh-edge ring). A pure
+  /// Byte footprint of the checker's owned state (edge-age table, aging
+  /// ring, forest union-find, scratch buffers, fresh-edge ring). A pure
   /// function of the pushed round stream, so it is safe to surface as a
   /// memory-budget gauge: identical at any engine thread count and with
   /// certification synchronous or on the engine's lane. Spine data held
@@ -194,6 +197,52 @@ class TIntervalChecker {
             << 32) |
            static_cast<std::uint32_t>(e.v);
   }
+
+  /// The general path's edge-age table: each present edge's packed key,
+  /// the round it most recently (re)appeared, and its tree bit. Linear
+  /// probing with backward-shift deletion, so no tombstones pile up
+  /// however long the stream runs. The capacity is the smallest power of
+  /// two >= 16 that keeps the load at most 1/2 for the largest edge count
+  /// seen: a pure function of the pushed stream, like ApproxBytes().
+  class EdgeAges {
+   public:
+    static constexpr std::uint64_t kEmpty = ~0ULL;  // no u,v < 2^31 packs to it
+
+    struct Slot {
+      std::uint64_t key = kEmpty;
+      std::int64_t since_tree = 0;  // since << 1 | tree bit
+
+      [[nodiscard]] std::int64_t since() const { return since_tree >> 1; }
+      [[nodiscard]] bool tree() const { return (since_tree & 1) != 0; }
+      void set_tree(bool tree) {
+        since_tree = (since_tree & ~std::int64_t{1}) | std::int64_t{tree};
+      }
+    };
+
+    /// Grows (rehashing) until `count` edges fit; allocates on first use.
+    void Reserve(std::size_t count);
+    /// The slot holding `key`, or null.
+    Slot* Find(std::uint64_t key);
+    /// Adds `key` with tree bit clear; false if it is already present.
+    /// Reserve must have made room for it.
+    bool Insert(std::uint64_t key, std::int64_t since);
+    /// Empties `slot`, shifting the rest of its probe run back over it.
+    void Erase(Slot* slot);
+    [[nodiscard]] std::size_t size() const { return size_; }
+    /// Every slot, empty ones included (key == kEmpty).
+    [[nodiscard]] std::span<Slot> slots() { return slots_; }
+    [[nodiscard]] std::int64_t ApproxBytes() const {
+      return static_cast<std::int64_t>(slots_.capacity() * sizeof(Slot));
+    }
+
+   private:
+    [[nodiscard]] std::size_t Home(std::uint64_t key) const;
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+    std::size_t mask_ = 0;
+    int shift_ = 64;  // 64 - log2(capacity)
+  };
 
   // --- general (delta-driven) path ---
   bool PushDeltaImpl(const TopologyDelta& delta);
@@ -237,14 +286,18 @@ class TIntervalChecker {
   std::int64_t boot_forest_ = 0;     // last prefix-window forest (r < T)
 
   // General path: present edges -> round they most recently (re)appeared.
-  std::unordered_map<std::uint64_t, std::int64_t> since_;
-  /// Ring of T buckets: edges added at round s land in bucket
+  EdgeAges ages_;
+  /// Ring of T buckets: keys of edges added at round s land in bucket
   /// (s + T - 1) % T and are tested for aging into the stable set at round
   /// s + T - 1. Stale entries (edge removed or re-added meanwhile) are
-  /// filtered by re-checking `since_`.
-  std::vector<std::vector<Edge>> aging_;
+  /// filtered by re-checking the edge's since round.
+  std::vector<std::vector<std::uint64_t>> aging_;
   std::int64_t stable_count_ = 0;
-  IncrementalForest forest_;
+  /// Spanning forest of the stable set, whose edges carry the tree bit.
+  /// Dirty once a tree edge leaves: union-find cannot split, so the round's
+  /// verdict waits for RebuildForest.
+  UnionFind forest_;
+  bool forest_dirty_ = false;
   UnionFind scratch_uf_{1};
   std::vector<std::vector<std::uint64_t>> sweep_buckets_;
   /// Previous round's edges, kept only for the diffing Push() fallback.

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -15,6 +19,7 @@
 #include "graph/delta.hpp"
 #include "graph/tinterval.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace sdn::adversary {
 namespace {
@@ -205,6 +210,90 @@ TEST(Adaptive, PathIsConnectedEachRound) {
   AdaptiveSortPathAdversary adv(12, 3, 1);
   for (std::int64_t r = 1; r <= 20; ++r) {
     EXPECT_TRUE(graph::IsConnected(adv.TopologyFor(r, view)));
+  }
+}
+
+/// View whose published states change every round: a hash of (round,
+/// node) picks from a palette with ties and both signed zeros, so the sort
+/// meets equal keys and -0.0 == +0.0 in every era.
+class ChurningView final : public net::AdversaryView {
+ public:
+  explicit ChurningView(graph::NodeId n) : n_(n) {}
+  [[nodiscard]] std::int64_t round() const override { return round_; }
+  [[nodiscard]] double PublicState(graph::NodeId u) const override {
+    static constexpr double kPalette[] = {-1.5, -0.0, 0.0, 0.0, 2.0, 2.0, 7.25};
+    const auto r = static_cast<std::uint64_t>(round_);
+    const auto v = static_cast<std::uint64_t>(static_cast<std::uint32_t>(u));
+    std::uint64_t x = r * std::uint64_t{0x9E3779B97F4A7C15} +
+                      v * std::uint64_t{0xBF58476D1CE4E5B9};
+    x ^= x >> 29;
+    return kPalette[x % std::size(kPalette)];
+  }
+  [[nodiscard]] graph::NodeId num_nodes() const override { return n_; }
+  void set_round(std::int64_t r) { round_ = r; }
+
+ private:
+  graph::NodeId n_;
+  std::int64_t round_ = 1;
+};
+
+/// The sort-path era build written the direct way: the comparator reads
+/// the view on every comparison, and the path's edges are sorted after.
+std::vector<graph::Edge> ReferenceSortedPath(const net::AdversaryView& view,
+                                             graph::NodeId n, bool descending,
+                                             util::Rng& rng) {
+  std::vector<graph::NodeId> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), graph::NodeId{0});
+  rng.Shuffle(std::span<graph::NodeId>(order));
+  std::stable_sort(order.begin(), order.end(),
+                   [&](graph::NodeId a, graph::NodeId b) {
+                     const double sa = view.PublicState(a);
+                     const double sb = view.PublicState(b);
+                     return descending ? sa > sb : sa < sb;
+                   });
+  std::vector<graph::Edge> edges;
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+    edges.emplace_back(order[i], order[i + 1]);
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+TEST(Adaptive, RoundEdgesMatchTheComparatorSortReference) {
+  // Ties are broken by the shuffle, so ascending and descending paths are
+  // not mirror images: a path in the wrong order changes the edge list.
+  for (const bool descending : {true, false}) {
+    for (const graph::NodeId n : {1, 2, 3, 17, 256}) {
+      for (const int T : {1, 2, 3}) {
+        SCOPED_TRACE(std::string(descending ? "desc" : "asc") +
+                     " n=" + std::to_string(n) + " T=" + std::to_string(T));
+        const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(n * 10 + T);
+        AdaptiveSortPathAdversary adv(n, T, seed, descending);
+        ChurningView view(n);
+        util::Rng rng(seed);
+        std::int64_t era = -1;
+        std::vector<graph::Edge> current;
+        std::vector<graph::Edge> previous;
+        std::vector<graph::Edge> got;
+        for (std::int64_t r = 1; r <= 8 * T + 5; ++r) {
+          view.set_round(r);
+          while (era < (r - 1) / T) {
+            ++era;
+            previous = current;
+            current = ReferenceSortedPath(view, n, descending, rng);
+          }
+          std::vector<graph::Edge> expected;
+          if ((r - 1) % T < T - 1 && era >= 1) {
+            std::set_union(current.begin(), current.end(), previous.begin(),
+                           previous.end(), std::back_inserter(expected));
+          } else {
+            expected = current;
+          }
+          ASSERT_TRUE(adv.RoundEdgesInto(r, view, got));
+          ASSERT_EQ(got, expected) << "round " << r;
+        }
+      }
+    }
   }
 }
 

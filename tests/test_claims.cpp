@@ -7,10 +7,16 @@
 //   - F3 (bench_f3_rounds_vs_d, `MeasureCliques`): hjswy-census on a static
 //     path of 4-cliques, 2 … 64 cliques: d = 2·cliques − 1 and the rounds
 //     column for m = 4.
+//   - hjswy-estimate on the adaptive adversary (adaptive-desc), N = 256,
+//     T = 2, seeds 1-3: the configuration of perfbench's adaptive-256
+//     workload, whose rounds no EXPERIMENTS.md table shows yet.
 // Every run must also grade correct and certify its T-interval promise.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "f3_cliques.hpp"
@@ -55,6 +61,26 @@ TEST(Claims, F3RoundsTrackDOnFourCliques) {
     EXPECT_EQ(p.rounds, row.rounds);
     EXPECT_FALSE(p.truncated);
     EXPECT_EQ(p.failures, 0);
+  }
+}
+
+TEST(Claims, AdaptiveEstimateRowsAtN256) {
+  // Adaptive rounds run the general certification path (the adversary
+  // publishes no composition) and the state-sorted era build, so these
+  // counts also pin both bit for bit.
+  constexpr std::int64_t kRounds[] = {3346, 1767, 959};
+  RunConfig config;
+  config.n = 256;
+  config.T = 2;
+  config.adversary.kind = "adaptive-desc";
+  const std::vector<RunResult> runs =
+      RunTrials(Algorithm::kHjswyEstimate, config, Seeds(3));
+  ASSERT_EQ(runs.size(), std::size(kRounds));
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE("seed " + std::to_string(i + 1));
+    EXPECT_EQ(runs[i].stats.rounds, kRounds[i]);
+    EXPECT_EQ(runs[i].stats.certified_T, 2);
+    EXPECT_TRUE(runs[i].Ok());
   }
 }
 

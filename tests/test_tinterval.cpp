@@ -132,44 +132,6 @@ TEST(ValidateTInterval, EarlyExitAgreesOnVerdictAndStopsThere) {
   EXPECT_EQ(clean_fast.min_stable_forest, clean_full.min_stable_forest);
 }
 
-TEST(IncrementalForest, TracksConnectivityUnderChurn) {
-  const auto key = [](NodeId u, NodeId v) {
-    return (static_cast<std::uint64_t>(std::min(u, v)) << 32) |
-           static_cast<std::uint64_t>(std::max(u, v));
-  };
-  IncrementalForest f(4);
-  f.BeginRebuild();
-  f.Insert(0, 1, key(0, 1));
-  f.Insert(1, 2, key(1, 2));
-  EXPECT_FALSE(f.dirty());
-  EXPECT_FALSE(f.connected());
-  EXPECT_EQ(f.forest_size(), 2);
-  f.Insert(2, 3, key(2, 3));
-  EXPECT_TRUE(f.connected());
-  EXPECT_EQ(f.forest_size(), 3);
-  // A cycle edge is non-tree: inserting and erasing it never dirties.
-  f.Insert(0, 3, key(0, 3));
-  EXPECT_EQ(f.tree_edges(), 3);
-  f.Erase(key(0, 3));
-  EXPECT_FALSE(f.dirty());
-  EXPECT_TRUE(f.connected());
-  // Erasing a tree edge forces the lazy rebuild before queries resolve.
-  f.Erase(key(1, 2));
-  EXPECT_TRUE(f.dirty());
-  f.BeginRebuild();
-  f.Insert(0, 1, key(0, 1));
-  f.Insert(2, 3, key(2, 3));
-  EXPECT_FALSE(f.connected());
-  EXPECT_EQ(f.forest_size(), 2);
-  // Reset re-targets the node count and drops everything.
-  f.Reset(3);
-  f.BeginRebuild();
-  f.Insert(0, 2, key(0, 2));
-  f.Insert(1, 2, key(1, 2));
-  EXPECT_TRUE(f.connected());
-  EXPECT_EQ(f.forest_size(), 2);
-}
-
 TEST(TIntervalChecker, StreamingMatchesBatch) {
   const Graph a = Path(4);
   const Graph b(4, std::vector<Edge>{{0, 2}, {2, 1}, {1, 3}});
@@ -270,6 +232,93 @@ TEST(TIntervalChecker, FuzzStreamingFeedsMatchBatch) {
           << "iter " << iter << " T=" << T;
       EXPECT_EQ(c->certified_T(), BatchCertifiedT(seq, T))
           << "iter " << iter << " T=" << T;
+    }
+  }
+}
+
+TEST(TIntervalChecker, HeavyChurnGrowsTheEdgeTableAndMatchesBatch) {
+  // The delta path's edge-age table at a size where it grows and wraps: on
+  // 300 nodes the volatile edge count ramps from about a hundred to
+  // thousands, so the table doubles several times, and each round removes
+  // about half of the previous round's extras, so the backward-shift
+  // deletions run over probe runs that wrap past the end of the slot
+  // array. Some extras survive long enough to age into the stable set as
+  // cycle (non-tree) edges. The spanning tree is redrawn now and then and
+  // overlaps its predecessor for T - 1 rounds (no redraw inside an
+  // overlap), so stable tree edges leave and the forest is rebuilt while
+  // the promise holds. The last four iterations plant violations: redraws
+  // without the overlap, and dropped tree edges that can disconnect a
+  // single round.
+  util::Rng rng(20260601);
+  const NodeId n = 300;
+  for (int iter = 0; iter < 8; ++iter) {
+    const int T = std::array<int, 4>{1, 2, 3, 5}[static_cast<std::size_t>(iter % 4)];
+    const bool plant = iter >= 4;
+    const int len = 30 + static_cast<int>(rng.UniformU64(15));
+    Graph tree = RandomTree(n, rng);
+    Graph previous = tree;
+    int overlap_left = 0;
+    std::vector<Edge> extras;
+    std::vector<Edge> kept;
+    std::vector<Edge> tree_edges;
+    std::vector<Edge> round_edges;
+    std::vector<Graph> seq;
+    for (int r = 0; r < len; ++r) {
+      if (overlap_left == 0 && rng.Bernoulli(0.2)) {
+        previous = tree;
+        tree = RandomTree(n, rng);
+        overlap_left = plant && rng.Bernoulli(0.5) ? 0 : T - 1;
+      }
+      if (overlap_left > 0) {
+        UnionSorted(tree.Edges(), previous.Edges(), tree_edges);
+        --overlap_left;
+      } else {
+        tree_edges.assign(tree.Edges().begin(), tree.Edges().end());
+      }
+      if (plant && r < 6 && rng.Bernoulli(0.5)) {
+        tree_edges.erase(tree_edges.begin() +
+                         static_cast<std::ptrdiff_t>(rng.UniformU64(
+                             static_cast<std::uint64_t>(n - 1))));
+      }
+      kept.clear();
+      for (const Edge& e : extras) {
+        if (rng.Bernoulli(0.5)) kept.push_back(e);
+      }
+      UnionSorted(kept, RandomEdges(n, 80 * (r + 1), rng), extras);
+      UnionSorted(tree_edges, extras, round_edges);
+      seq.emplace_back(n, std::span<const Edge>(round_edges));
+    }
+    SCOPED_TRACE("iter " + std::to_string(iter) + " T=" + std::to_string(T));
+    TIntervalChecker push_checker(n, T);
+    TIntervalChecker delta_checker(n, T);
+    Graph prev(n);
+    for (std::size_t r = 0; r < seq.size(); ++r) {
+      const bool a = push_checker.Push(seq[r]);
+      const bool b = delta_checker.PushDelta(Diff(prev, seq[r]));
+      prev = seq[r];
+      const auto rounds = static_cast<int>(r) + 1;
+      ASSERT_EQ(b, a) << "round " << rounds;
+      if (rounds < T) continue;  // no complete window yet
+      const auto prefix = std::span<const Graph>(seq).first(r + 1);
+      ASSERT_EQ(a, ValidateTInterval(prefix, T).ok) << "round " << rounds;
+      // The stable set is the intersection of the last T rounds.
+      const std::int64_t stable =
+          EdgeIntersection(prefix.last(static_cast<std::size_t>(T)))
+              .num_edges();
+      ASSERT_EQ(push_checker.stable_edge_count(), stable) << "round " << rounds;
+      ASSERT_EQ(delta_checker.stable_edge_count(), stable) << "round " << rounds;
+    }
+    const auto batch = ValidateTInterval(seq, T);
+    const std::int64_t certified = BatchCertifiedT(seq, T);
+    if (!plant) {
+      EXPECT_EQ(certified, T);  // the overlaps keep the promise
+    }
+    for (const TIntervalChecker* c : {&push_checker, &delta_checker}) {
+      EXPECT_EQ(c->rounds_seen(), len);
+      EXPECT_EQ(c->ok(), batch.ok);
+      EXPECT_EQ(c->first_bad_window(), batch.first_bad_window);
+      EXPECT_EQ(c->min_stable_forest(), batch.min_stable_forest);
+      EXPECT_EQ(c->certified_T(), certified);
     }
   }
 }
